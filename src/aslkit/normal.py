@@ -1,9 +1,15 @@
 """Normal subgroup structure: closures, lattices, simplicity, decompositions.
 
-The full normal lattice is computed as the join-closure of the normal
-closures of single conjugacy classes; every normal subgroup is a union of
-classes, so this enumeration is complete while staying proportional to the
-lattice size rather than the (often huge) subgroup count.
+Every normal subgroup is a union of conjugacy classes, so normal subgroups
+are handled as bitmasks over the class list of `conjugacy_classes`. One
+primitive, `_span`, extends a normal subgroup A by generating classes: it
+visits each class of the result once and reads each class product c_k * c_g
+from one representative of the larger class times the smaller class. The normal
+closure of a class c is the span of c over the trivial subgroup, and the
+lattice is built by joining each member with every single-class closure,
+which reaches every normal subgroup while staying proportional to the
+lattice size rather than the (often huge) subgroup count. Reference: Holt,
+Eick and O'Brien, Handbook of Computational Group Theory (2005), ch. 3.
 """
 
 from __future__ import annotations
@@ -11,10 +17,10 @@ from __future__ import annotations
 from .core import (
     ClosureBuilder,
     Subgroup,
+    class_index_of,
     conjugacy_classes,
     full_subgroup,
     is_abelian,
-    normal_closure,
     product_embedding,
     subgroup_generated,
     trivial_subgroup,
@@ -60,24 +66,80 @@ class NormalLattice:
         return out
 
 
+def _span(G, mask, gen_classes):
+    """Class mask of A * <gen_classes>, where mask is a normal subgroup A.
+
+    Every class k of the result is multiplied by each generating class g
+    exactly once. The classes hit by c_k * c_g (= c_g * c_k as sets) are
+    read from one representative of the larger class times every member of
+    the smaller one; conjugation carries the rest of the product set onto
+    these. Starting from A, right multiplication by generating classes
+    reaches every element of A * <gen_classes>, so the fixpoint is the span.
+    """
+    classes = conjugacy_classes(G)
+    cls_of = class_index_of(G)
+    mul = G.mul
+    full = (1 << len(classes)) - 1
+    span = mask
+    for g in gen_classes:
+        span |= 1 << g
+    todo = span
+    while todo and span != full:
+        low = todo & -todo
+        todo ^= low
+        ck = classes[low.bit_length() - 1]
+        for g in gen_classes:
+            cg = classes[g]
+            if len(ck) >= len(cg):
+                x, ys = ck[0], cg
+            else:
+                x, ys = cg[0], ck
+            for y in ys:
+                bit = 1 << cls_of[mul(x, y)]
+                if not span & bit:
+                    span |= bit
+                    todo |= bit
+    return span
+
+
+def _subgroup_of(G, mask):
+    """Normal Subgroup whose members are the classes in mask."""
+    classes = conjugacy_classes(G)
+    members = []
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        members.extend(classes[low.bit_length() - 1])
+    return Subgroup(G, members, normal=True)
+
+
+def _class_spans(G):
+    """{class mask of <c^G>: c}, c the first class generating it."""
+    spans = G._cache.get("class_spans")
+    if spans is None:
+        spans = {}
+        for c in range(len(conjugacy_classes(G))):
+            spans.setdefault(_span(G, 1, (c,)), c)
+        G._cache["class_spans"] = spans
+    return spans
+
+
 def class_closures(G):
     """Normal closure of each single conjugacy class, deduplicated.
 
-    The normal closure of one representative already contains the class.
+    The subgroup generated by a class is already normal, so its closure is
+    the span of that class over the trivial subgroup.
     """
-    cached = G._cache.get("class_closures")
-    if cached is None:
-        seen = {}
-        for cls in conjugacy_classes(G):
-            sub = normal_closure(G, (cls[0],))
-            seen.setdefault(sub.member_set, sub)
-        cached = tuple(sorted(seen.values(), key=lambda s: (s.order, s.members)))
-        G._cache["class_closures"] = cached
-    return cached
+    return tuple(sorted((_subgroup_of(G, mask) for mask in _class_spans(G)),
+                        key=lambda s: (s.order, s.members)))
 
 
 def all_normal_subgroups(G, max_classes=LATTICE_CLASS_CAP):
-    """Complete NormalLattice via join-closure of single-class closures."""
+    """Complete NormalLattice: joins of members with single-class closures.
+
+    Every normal subgroup is the join of the closures of its classes, so
+    joining each new member with every class closure reaches all of them.
+    """
     lat = G._cache.get("normal_lattice")
     if lat is not None:
         return lat
@@ -85,25 +147,21 @@ def all_normal_subgroups(G, max_classes=LATTICE_CLASS_CAP):
     if ncl > max_classes:
         raise TooManyClasses(
             f"{G.name}: {ncl} conjugacy classes exceed cap {max_classes}")
-    found = {frozenset([0]): trivial_subgroup(G)}
-    for sub in class_closures(G):
-        found.setdefault(sub.member_set, sub)
-    worklist = list(found.values())
+    spans = _class_spans(G)
+    found = set(spans)
+    worklist = list(found)
     while worklist:
         new = []
-        items = list(found.values())
         for a in worklist:
-            for b in items:
-                if a.member_set <= b.member_set or b.member_set <= a.member_set:
+            for b, c in spans.items():
+                if a & b == b or a & b == a:
                     continue
-                j = a.join(b)
-                if j.member_set not in found:
-                    found[j.member_set] = j
+                j = _span(G, a, (c,))
+                if j not in found:
+                    found.add(j)
                     new.append(j)
         worklist = new
-    if frozenset(range(G.order)) not in found:
-        found[frozenset(range(G.order))] = full_subgroup(G)
-    lat = NormalLattice(G, found.values())
+    lat = NormalLattice(G, [_subgroup_of(G, mask) for mask in found])
     G._cache["normal_lattice"] = lat
     return lat
 

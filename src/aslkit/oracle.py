@@ -1,11 +1,15 @@
 """Brute-force reference implementations used only for cross-validation.
 
-These deliberately use a different algorithm family from the main path:
-normal subgroups are found by exhaustive enumeration of identity-containing
-unions of conjugacy classes (with infeasible branches pruned through a
-class-product table), never by element-level closure of seeds. Agreement with
-the join-closure lattice is therefore meaningful evidence. Performance is a
-non-goal; the enumeration is exponential in the class count.
+Both this module and the main path treat normal subgroups as unions of
+conjugacy classes, so both rest on `core.conjugacy_classes`. What still
+differs is the search: the main path grows class spans from single-class
+closures, visiting each class once, and joins them; the oracle enumerates
+every identity-containing union of classes exhaustively, with infeasible
+branches pruned through an all-pairs class-product table and a naive
+fixpoint. The shared class partition and the spans are checked against
+element-level closures and brute-force conjugation in the tests, so
+agreement here is still meaningful evidence. Performance is a non-goal; the
+enumeration is exponential in the class count.
 """
 
 from __future__ import annotations

@@ -23,6 +23,7 @@ from .core import (
     center,
     commutator_subgroup,
     full_subgroup,
+    identity_hom,
     is_abelian,
     quotient,
 )
@@ -229,7 +230,11 @@ def d0_subgroup(G, max_classes=LATTICE_CLASS_CAP):
         out = full_subgroup(G)
         G._cache["d0"] = out
         return out
-    Q, pi = quotient(G, rad)
+    if rad.order == 1:
+        # G/1 would be a second copy of G with its own product memo
+        Q, pi = G, identity_hom(G)
+    else:
+        Q, pi = quotient(G, rad)
     gprime_q = commutator_subgroup(Q)
     maxn = all_normal_subgroups(Q, max_classes=max_classes).maximal_proper()
     keep = [m for m in maxn if not gprime_q.member_set <= m.member_set]

@@ -1,18 +1,26 @@
 """Normal lattices, maximal normal subgroups, simplicity, decompositions."""
 
+import random
+
 import pytest
 
+from aslkit.catalog import catalog
 from aslkit.core import (
     Subgroup,
+    class_index_of,
     conjugacy_classes,
+    cycle_label,
     direct_product,
     direct_product_many,
+    group_from_perm_generators,
+    normal_closure,
     trivial_subgroup,
 )
 from aslkit.errors import NotSimpleFactor, TooManyClasses, TrivialGroup
 from aslkit.families import alternating_group, cyclic_group, symmetric_group
 from aslkit.normal import (
     all_normal_subgroups,
+    class_closures,
     is_simple,
     is_solvable,
     maximal_normal_subgroups,
@@ -148,3 +156,88 @@ def test_oracle_lattice_agreement_small(s4, q8, c6, d4, v4):
         main = sorted((s.order, s.members) for s in all_normal_subgroups(g))
         orc = sorted((s.order, s.members) for s in oracle_normal_subgroups(g))
         assert main == orc
+
+
+def _random_perm_groups(seed=7, count=12, max_degree=6):
+    """Seeded permutation groups of degree <= max_degree, one or two gens."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        degree = rng.randint(2, max_degree)
+        words = [cycle_label(tuple(rng.sample(range(degree), degree)))
+                 for _ in range(rng.randint(1, 2))]
+        out.append(group_from_perm_generators(degree, words))
+    return out
+
+
+def _key(sub):
+    return (sub.order, sub.members)
+
+
+def test_class_spans_match_element_closures():
+    """The class-level spans agree with element-level normal closures."""
+    groups = [g for _, g in catalog(48)] + _random_perm_groups()
+    for g in groups:
+        ref = {}
+        for cls in conjugacy_classes(g):
+            sub = normal_closure(g, (cls[0],))
+            ref.setdefault(sub.member_set, sub)
+        assert [_key(s) for s in class_closures(g)] == \
+            sorted(_key(s) for s in ref.values()), g.name
+        for sub in all_normal_subgroups(g):
+            assert normal_closure(g, sub.gens()).member_set == \
+                sub.member_set, g.name
+
+
+def test_conjugacy_classes_bruteforce():
+    """Classes found by conjugating with every element, up to order 120."""
+    groups = [g for _, g in catalog(120)] + _random_perm_groups()
+    for g in groups:
+        if g.order > 120:
+            continue
+        seen = set()
+        brute = []
+        for x in range(g.order):
+            if x in seen:
+                continue
+            cls = {g.mul(g.inv(h), g.mul(x, h)) for h in range(g.order)}
+            seen |= cls
+            brute.append(tuple(sorted(cls)))
+        assert sorted(brute) == sorted(conjugacy_classes(g)), g.name
+
+
+def _count_muls(g, fn):
+    """Number of g.mul calls made by fn(g), classes already computed."""
+    class_index_of(g)
+    calls = 0
+    mul = g.mul
+
+    def counted(i, j):
+        nonlocal calls
+        calls += 1
+        return mul(i, j)
+
+    g.mul = counted
+    try:
+        fn(g)
+    finally:
+        del g.mul
+    return calls
+
+
+def test_class_closures_cost_on_abelian_groups():
+    """No class-product table: at most as many products as element closures.
+
+    An abelian group of order n has n classes, so an all-pairs class table
+    alone costs n * n products, far above the element-level closures.
+    """
+    def element_level(g):
+        for cls in conjugacy_classes(g):
+            normal_closure(g, (cls[0],))
+
+    c2 = cyclic_group(2)
+    for build in (lambda: cyclic_group(128),
+                  lambda: direct_product_many([c2] * 7)):
+        ours = _count_muls(build(), class_closures)
+        ref = _count_muls(build(), element_level)
+        assert ours <= ref, (ours, ref)
