@@ -6,15 +6,14 @@ byte-identical bytes. Wall-clock timing appears only in the human-readable
 text, never in the JSON, so reports stay reproducible. Exit codes: 0 pass,
 1 verification failure, 2 usage error, 3 cap exceeded.
 
-ASL_KIT_THREADS is a parallelism hint for the verification suites; results
-are aggregated deterministically and never depend on it.
+The global options --json, --closure-cap and --oracle-cap are accepted
+before or after the subcommand; any other option is a usage error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from dataclasses import dataclass
@@ -89,7 +88,6 @@ def _build_parser():
                 description="finite-group series, wreath, and module toolkit")
     p.add_argument("--json", action="store_true",
                    help="emit the machine-readable report")
-    p.add_argument("--dense-cap", type=int, default=5000)
     p.add_argument("--closure-cap", type=int, default=100000)
     p.add_argument("--oracle-cap", type=int, default=16)
     # the same flags are accepted after the subcommand; SUPPRESS keeps a
@@ -97,7 +95,6 @@ def _build_parser():
     common = _Parser(add_help=False)
     common.add_argument("--json", action="store_true",
                         default=argparse.SUPPRESS)
-    common.add_argument("--dense-cap", type=int, default=argparse.SUPPRESS)
     common.add_argument("--closure-cap", type=int, default=argparse.SUPPRESS)
     common.add_argument("--oracle-cap", type=int, default=argparse.SUPPRESS)
     sub = p.add_subparsers(dest="cmd", required=True,
@@ -148,14 +145,6 @@ def _build_parser():
     sp.add_argument("suite", choices=sorted(SUITES) + ["all"])
     sp.add_argument("--max-order", type=int, default=200)
     return p
-
-
-def _threads():
-    raw = os.environ.get("ASL_KIT_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _parse_g0(G, text):
@@ -229,8 +218,7 @@ def _factor_json(desc):
 
 
 def _cmd_length(args):
-    G = group_from_spec(args.spec, closure_cap=args.closure_cap,
-                        dense_cap=args.dense_cap)
+    G = group_from_spec(args.spec, closure_cap=args.closure_cap)
     lng = abelian_simple_length(G)
     result = {"spec": unparse(parse_group_spec(args.spec)),
               "order": G.order, "length": lng}
@@ -239,8 +227,7 @@ def _cmd_length(args):
 
 
 def _cmd_series(args):
-    G = group_from_spec(args.spec, closure_cap=args.closure_cap,
-                        dense_cap=args.dense_cap)
+    G = group_from_spec(args.spec, closure_cap=args.closure_cap)
     rep = generalized_derived_series(G)
     result = {
         "spec": unparse(parse_group_spec(args.spec)),
@@ -256,8 +243,7 @@ def _cmd_series(args):
 
 
 def _cmd_normals(args):
-    G = group_from_spec(args.spec, closure_cap=args.closure_cap,
-                        dense_cap=args.dense_cap)
+    G = group_from_spec(args.spec, closure_cap=args.closure_cap)
     lat = all_normal_subgroups(G)
     result = {
         "spec": unparse(parse_group_spec(args.spec)),
@@ -271,8 +257,7 @@ def _cmd_normals(args):
 
 
 def _cmd_factors(args):
-    G = group_from_spec(args.spec, closure_cap=args.closure_cap,
-                        dense_cap=args.dense_cap)
+    G = group_from_spec(args.spec, closure_cap=args.closure_cap)
     desc = factor_structure(G)
     result = {"spec": unparse(parse_group_spec(args.spec)),
               "factor": _factor_json(desc)}
@@ -281,15 +266,12 @@ def _cmd_factors(args):
 
 
 def _build_wreath(args):
-    A = group_from_spec(args.a, closure_cap=args.closure_cap,
-                        dense_cap=args.dense_cap)
-    G = group_from_spec(args.g, closure_cap=args.closure_cap,
-                        dense_cap=args.dense_cap)
+    A = group_from_spec(args.a, closure_cap=args.closure_cap)
+    G = group_from_spec(args.g, closure_cap=args.closure_cap)
     G0 = _parse_g0(G, args.g0)
     act = _load_action(args.action, A, G0) if args.action else None
     return A, G, G0, twisted_wreath_product(
-        A, G, G0, act, closure_cap=args.closure_cap,
-        dense_cap=args.dense_cap), act
+        A, G, G0, act, closure_cap=args.closure_cap), act
 
 
 def _cmd_wreath(args):
@@ -309,10 +291,8 @@ def _cmd_wreath(args):
 
 
 def _cmd_msigma(args):
-    A = group_from_spec(args.a, closure_cap=args.closure_cap,
-                        dense_cap=args.dense_cap)
-    G = group_from_spec(args.g, closure_cap=args.closure_cap,
-                        dense_cap=args.dense_cap)
+    A = group_from_spec(args.a, closure_cap=args.closure_cap)
+    G = group_from_spec(args.g, closure_cap=args.closure_cap)
     G0 = _parse_g0(G, args.g0)
     act = _load_action(args.action, A, G0) if args.action else None
     hyp = msigma_hypothesis(G, G0, args.m)
@@ -330,8 +310,7 @@ def _cmd_msigma(args):
 
 
 def _cmd_vchain(args):
-    G = group_from_spec(args.g, closure_cap=args.closure_cap,
-                        dense_cap=args.dense_cap)
+    G = group_from_spec(args.g, closure_cap=args.closure_cap)
     if not args.x.startswith("coset:"):
         raise _UsageError("--x must have the form coset:ELEMS")
     G0 = _parse_g0(G, args.x[len("coset:"):])
@@ -359,8 +338,7 @@ def _cmd_kernelcheck(args):
 
 
 def _cmd_lp(args):
-    G = group_from_spec(args.spec, closure_cap=args.closure_cap,
-                        dense_cap=args.dense_cap)
+    G = group_from_spec(args.spec, closure_cap=args.closure_cap)
     filt = search_lp(G, args.l, args.J)
     if filt is None:
         result = {"spec": unparse(parse_group_spec(args.spec)),
@@ -382,13 +360,12 @@ def _cmd_lp(args):
 
 
 def _cmd_verify(args):
-    threads = _threads()
     if args.suite == "all":
         results = run_all(max_order=args.max_order,
-                          oracle_cap=args.oracle_cap, threads=threads)
+                          oracle_cap=args.oracle_cap)
     else:
         results = [run_suite(args.suite, max_order=args.max_order,
-                             oracle_cap=args.oracle_cap, threads=threads)]
+                             oracle_cap=args.oracle_cap)]
     suites_json = []
     lines = []
     all_ok = True

@@ -2,10 +2,10 @@
 
 Elements of a group are integers 0..order-1; index 0 is always the identity.
 Each group carries immutable element values (permutation tuples, residues,
-index pairs, ...) plus a value-level multiplication, and memoizes products.
-Two storage strategies exist: "dense-table" groups (order <= dense cap) may
-materialize full Cayley rows; "on-the-fly" groups only keep the product memo.
-Rows are filled lazily in both cases, so construction cost stays linear.
+index pairs, ...) plus a value-level multiplication, and memoizes the
+products it is asked for in one dict keyed by the index pair. No Cayley table
+is ever materialized: large groups touch only a small part of theirs, so
+construction cost stays linear in the order.
 
 Conventions, used consistently everywhere:
   - permutations multiply left-to-right: (p*q)(x) = q(p(x)), i.e. everything
@@ -29,7 +29,6 @@ from .errors import (
     NotSurjective,
 )
 
-DENSE_CAP = 5000
 CLOSURE_CAP = 100000
 
 # Validation policy: exhaustive up to this order, sampled beyond it.
@@ -42,7 +41,7 @@ class Group:
     """A finite group given by an indexed element table and a product oracle."""
 
     def __init__(self, values, vmul, vinv, labeler, name="group",
-                 generators=None, dense_cap=DENSE_CAP, kind="table"):
+                 generators=None, kind="table"):
         values = list(values)
         self.order = len(values)
         self._values = values
@@ -55,9 +54,7 @@ class Group:
         self.name = name
         self.kind = kind
         self.identity = 0
-        self.backend = "dense-table" if self.order <= dense_cap else "on-the-fly"
         self._mul_cache = {}
-        self._rows = [None] * self.order if self.backend == "dense-table" else None
         self._inv_cache = [None] * self.order
         self._cache = {}
         self._generators = None
@@ -77,33 +74,12 @@ class Group:
     # -- oracle ------------------------------------------------------------
 
     def mul(self, i, j):
-        if self._rows is not None:
-            row = self._rows[i]
-            if row is not None:
-                return row[j]
         key = i * self.order + j
         r = self._mul_cache.get(key)
         if r is None:
             r = self._index[self._vmul(self._values[i], self._values[j])]
             self._mul_cache[key] = r
         return r
-
-    def row(self, i):
-        """Full Cayley row of element i (cached); dense-table groups only."""
-        if self._rows is None:
-            raise CapExceeded(f"group of order {self.order} has no dense table")
-        row = self._rows[i]
-        if row is None:
-            vi = self._values[i]
-            idx = self._index
-            vmul = self._vmul
-            row = [idx[vmul(vi, v)] for v in self._values]
-            self._rows[i] = row
-        return row
-
-    def cayley_table(self):
-        """Full Cayley table as a list of rows; dense-table groups only."""
-        return [self.row(i) for i in range(self.order)]
 
     def inv(self, i):
         r = self._inv_cache[i]
@@ -142,11 +118,11 @@ class Group:
         return range(self.order)
 
     def __repr__(self):
-        return f"<Group {self.name!r} order {self.order} ({self.backend})>"
+        return f"<Group {self.name!r} order {self.order}>"
 
 
 def generate_group(identity_value, gen_values, vmul, vinv, labeler, name,
-                   closure_cap=CLOSURE_CAP, dense_cap=DENSE_CAP, kind="table"):
+                   closure_cap=CLOSURE_CAP, kind="table"):
     """Close generator values under multiplication, breadth-first.
 
     Canonical element order: identity first, then BFS discovery order over
@@ -170,7 +146,7 @@ def generate_group(identity_value, gen_values, vmul, vinv, labeler, name,
                         f"closure of {name!r} exceeded cap {closure_cap}")
     gen_indices = [index[g] for g in gen_values]
     return Group(values, vmul, vinv, labeler, name=name,
-                 generators=gen_indices, dense_cap=dense_cap, kind=kind)
+                 generators=gen_indices, kind=kind)
 
 
 # -- subgroups ---------------------------------------------------------------
@@ -355,22 +331,28 @@ def greedy_generators_from(G):
     return tuple(cb.gens)
 
 
-def normal_closure(G, seed):
-    """Smallest normal subgroup of G containing the seed indices."""
+def _conjugation_closure(G, seed, conjugators, normal):
+    """Smallest subgroup containing seed and stable under conjugation by
+    the conjugators, which generate the group it is normal in."""
     cb = ClosureBuilder(G)
     for s in seed:
         cb.add(s)
     # conjugation-stabilize: conjugating the adopted generators by the
-    # parent's generators suffices, and each adoption doubles the closure
+    # conjugators suffices, and each adoption doubles the closure
     while True:
         grew = False
-        for g in G.generators:
+        for g in conjugators:
             for x in list(cb.gens):
                 if cb.add(G.conj(x, g)):
                     grew = True
         if not grew:
-            return Subgroup(G, cb.sorted_members(), normal=True,
+            return Subgroup(G, cb.sorted_members(), normal=normal,
                             gens=tuple(cb.gens))
+
+
+def normal_closure(G, seed):
+    """Smallest normal subgroup of G containing the seed indices."""
+    return _conjugation_closure(G, seed, G.generators, normal=True)
 
 
 # -- conjugacy, commutators, centers ------------------------------------------
@@ -420,19 +402,31 @@ def class_index_of(G):
     return arr
 
 
+def _derived(G, gens, normal):
+    """Derived subgroup of <gens>: the closure of the generator commutators
+    under conjugation by the generators."""
+    comms = []
+    for x in gens:
+        xi = G.inv(x)
+        for y in gens:
+            c = G.mul(G.mul(xi, G.inv(y)), G.mul(x, y))
+            if c != 0:
+                comms.append(c)
+    if not comms:
+        return trivial_subgroup(G)
+    return _conjugation_closure(G, comms, gens, normal)
+
+
+def subgroup_derived(H):
+    """Derived subgroup of a Subgroup, computed inside the parent."""
+    return _derived(H.parent, H.gens(), None)
+
+
 def commutator_subgroup(G):
-    """Normal closure of the commutators of the generators."""
+    """Derived subgroup of G, cached on the group."""
     sub = G._cache.get("derived")
     if sub is None:
-        gens = G.generators if G.generators else ()
-        comms = []
-        for x in gens:
-            xi = G.inv(x)
-            for y in gens:
-                c = G.mul(G.mul(xi, G.inv(y)), G.mul(x, y))
-                if c != 0:
-                    comms.append(c)
-        sub = normal_closure(G, comms) if comms else trivial_subgroup(G)
+        sub = _derived(G, G.generators, True)
         G._cache["derived"] = sub
     return sub
 
@@ -682,6 +676,19 @@ def semidirect_product(N, H, act, name=None, validate=True,
     return W
 
 
+def left_coset_reps(G, H):
+    """Minimal-index representatives of the left cosets xH, sorted, and the
+    array mapping each element index to its coset's representative."""
+    rep_of = [-1] * G.order
+    reps = []
+    for i in range(G.order):
+        if rep_of[i] == -1:
+            reps.append(i)
+            for t in H.members:
+                rep_of[G.mul(i, t)] = i
+    return reps, rep_of
+
+
 def quotient(G, N, name=None):
     """Quotient group and the canonical surjection; requires N normal."""
     if not isinstance(N, Subgroup) or N.parent is not G:
@@ -692,13 +699,7 @@ def quotient(G, N, name=None):
     if cached is not None:
         return cached
     n = G.order
-    rep_of = [-1] * n
-    reps = []
-    for i in range(n):
-        if rep_of[i] == -1:
-            reps.append(i)
-            for t in N.members:
-                rep_of[G.mul(i, t)] = i
+    reps, rep_of = left_coset_reps(G, N)
     pos = {r: k for k, r in enumerate(reps)}
 
     def vmul(a, b):
@@ -826,7 +827,7 @@ def perm_inv(p):
 
 
 def group_from_perm_generators(degree, generators, name=None,
-                               closure_cap=CLOSURE_CAP, dense_cap=DENSE_CAP):
+                               closure_cap=CLOSURE_CAP):
     """Permutation group generated by cycle words on {1..degree}."""
     if degree < 1:
         raise MalformedCycle("degree must be positive")
@@ -834,8 +835,7 @@ def group_from_perm_generators(degree, generators, name=None,
     if name is None:
         name = "perm(" + "; ".join(cycle_label(g) for g in gen_values) + ")"
     G = generate_group(tuple(range(degree)), gen_values, perm_mul, perm_inv,
-                       cycle_label, name, closure_cap=closure_cap,
-                       dense_cap=dense_cap, kind="perm")
+                       cycle_label, name, closure_cap=closure_cap, kind="perm")
     G.degree = degree
     return G
 

@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-from .core import CLOSURE_CAP, DENSE_CAP, Group, group_from_perm_generators
+from .core import CLOSURE_CAP, Group, group_from_perm_generators
 from .errors import CapExceeded, UnknownConstructor
 
 
-def cyclic_group(n, closure_cap=CLOSURE_CAP, dense_cap=DENSE_CAP):
+def cyclic_group(n, closure_cap=CLOSURE_CAP):
     """C_n with residue values and additive labels 0..n-1."""
     if n < 1:
         raise UnknownConstructor(f"C{n} undefined")
@@ -14,38 +14,36 @@ def cyclic_group(n, closure_cap=CLOSURE_CAP, dense_cap=DENSE_CAP):
         raise CapExceeded(f"|C{n}| exceeds cap {closure_cap}")
     G = Group(range(n), lambda a, b: (a + b) % n, lambda a: (-a) % n,
               str, name=f"C{n}", generators=[1 % n] if n > 1 else [],
-              dense_cap=dense_cap, kind="cyclic")
+              kind="cyclic")
     return G
 
 
-def klein_group(closure_cap=CLOSURE_CAP, dense_cap=DENSE_CAP):
+def klein_group(closure_cap=CLOSURE_CAP):
     """V4 as the regular degree-4 permutation group."""
     G = group_from_perm_generators(4, ["(1 2)(3 4)", "(1 3)(2 4)"], name="V4",
-                                   closure_cap=closure_cap, dense_cap=dense_cap)
+                                   closure_cap=closure_cap)
     return G
 
 
-def dihedral_group(n, closure_cap=CLOSURE_CAP, dense_cap=DENSE_CAP):
+def dihedral_group(n, closure_cap=CLOSURE_CAP):
     """Dihedral group of order 2n acting on n points (n >= 3; D2 = V4, D1 = C2)."""
     if n < 1:
         raise UnknownConstructor(f"D{n} undefined")
     if n == 1:
         return group_from_perm_generators(2, ["(1 2)"], name="D1",
-                                          closure_cap=closure_cap,
-                                          dense_cap=dense_cap)
+                                          closure_cap=closure_cap)
     if n == 2:
-        G = klein_group(closure_cap=closure_cap, dense_cap=dense_cap)
+        G = klein_group(closure_cap=closure_cap)
         G.name = "D2"
         return G
     rot = "(" + " ".join(str(i) for i in range(1, n + 1)) + ")"
     refl_cycles = "".join(f"({1 + i} {n + 1 - i})"
                           for i in range(1, (n + 1) // 2))
     return group_from_perm_generators(n, [rot, refl_cycles], name=f"D{n}",
-                                      closure_cap=closure_cap,
-                                      dense_cap=dense_cap)
+                                      closure_cap=closure_cap)
 
 
-def symmetric_group(n, closure_cap=CLOSURE_CAP, dense_cap=DENSE_CAP):
+def symmetric_group(n, closure_cap=CLOSURE_CAP):
     if n < 1:
         raise UnknownConstructor(f"S{n} undefined")
     if n == 1:
@@ -54,19 +52,17 @@ def symmetric_group(n, closure_cap=CLOSURE_CAP, dense_cap=DENSE_CAP):
     if n > 2:
         gens.append("(" + " ".join(str(i) for i in range(1, n + 1)) + ")")
     return group_from_perm_generators(n, gens, name=f"S{n}",
-                                      closure_cap=closure_cap,
-                                      dense_cap=dense_cap)
+                                      closure_cap=closure_cap)
 
 
-def alternating_group(n, closure_cap=CLOSURE_CAP, dense_cap=DENSE_CAP):
+def alternating_group(n, closure_cap=CLOSURE_CAP):
     if n < 1:
         raise UnknownConstructor(f"A{n} undefined")
     if n <= 2:
         return group_from_perm_generators(max(n, 1), [], name=f"A{n}")
     gens = [f"({i} {i + 1} {i + 2})" for i in range(1, n - 1)]
     return group_from_perm_generators(n, gens, name=f"A{n}",
-                                      closure_cap=closure_cap,
-                                      dense_cap=dense_cap)
+                                      closure_cap=closure_cap)
 
 
 def quaternion_group():

@@ -13,13 +13,13 @@ from dataclasses import dataclass, field
 
 from .core import (
     CLOSURE_CAP,
-    DENSE_CAP,
     Subgroup,
     Homomorphism,
     generate_group,
     is_abelian,
     is_isomorphic,
     quotient,
+    subgroup_derived,
     trivial_subgroup,
 )
 from .errors import (
@@ -37,7 +37,6 @@ from .normal import (
     is_simple,
 )
 from .series import abelian_simple_length
-from .normal import subgroup_derived
 
 FIELD_SIZE_CAP = 64
 
@@ -341,8 +340,7 @@ class MatrixGroupSpec:
     generators: tuple
 
 
-def matrix_group(spec: MatrixGroupSpec, name=None, closure_cap=CLOSURE_CAP,
-                 dense_cap=DENSE_CAP):
+def matrix_group(spec: MatrixGroupSpec, name=None, closure_cap=CLOSURE_CAP):
     """Close generator matrices under multiplication."""
     ring = spec.ring
     gens = []
@@ -358,7 +356,7 @@ def matrix_group(spec: MatrixGroupSpec, name=None, closure_cap=CLOSURE_CAP,
                        lambda a, b: mat_mul(ring, a, b),
                        lambda a: mat_inv(ring, a),
                        mat_label, name, closure_cap=closure_cap,
-                       dense_cap=dense_cap, kind="matrix")
+                       kind="matrix")
     G.structure = {"matrix": True, "n": spec.n, "ring": ring}
     return G
 
@@ -382,26 +380,24 @@ def _diag_unit(n, u):
     return tuple(tuple(r) for r in M)
 
 
-def gl_group(n, q, closure_cap=CLOSURE_CAP, dense_cap=DENSE_CAP):
+def gl_group(n, q, closure_cap=CLOSURE_CAP):
     """GL(n, F_q) from transvections plus one diagonal unit."""
     F = PrimePowerField(q)
     gens = _transvection_gens(n, F)
     if q > 2:
         gens.append(_diag_unit(n, F.multiplicative_generator()))
     spec = MatrixGroupSpec(n, F, tuple(gens))
-    return matrix_group(spec, name=f"GL({n},{q})", closure_cap=closure_cap,
-                        dense_cap=dense_cap)
+    return matrix_group(spec, name=f"GL({n},{q})", closure_cap=closure_cap)
 
 
-def sl_group(n, q, closure_cap=CLOSURE_CAP, dense_cap=DENSE_CAP):
+def sl_group(n, q, closure_cap=CLOSURE_CAP):
     """SL(n, F_q), generated by all transvections."""
     F = PrimePowerField(q)
     spec = MatrixGroupSpec(n, F, tuple(_transvection_gens(n, F)))
-    return matrix_group(spec, name=f"SL({n},{q})", closure_cap=closure_cap,
-                        dense_cap=dense_cap)
+    return matrix_group(spec, name=f"SL({n},{q})", closure_cap=closure_cap)
 
 
-def unitriangular_group(n, p, closure_cap=CLOSURE_CAP, dense_cap=DENSE_CAP):
+def unitriangular_group(n, p, closure_cap=CLOSURE_CAP):
     """Upper unitriangular U(n, p); order p^(n(n-1)/2)."""
     if not _is_prime(p):
         raise UnknownConstructor(f"U({n},{p}) needs a prime")
@@ -415,13 +411,12 @@ def unitriangular_group(n, p, closure_cap=CLOSURE_CAP, dense_cap=DENSE_CAP):
         M[i][i + 1] = 1
         gens.append(tuple(tuple(r) for r in M))
     spec = MatrixGroupSpec(n, F, tuple(gens))
-    G = matrix_group(spec, name=f"U({n},{p})", closure_cap=closure_cap,
-                     dense_cap=dense_cap)
+    G = matrix_group(spec, name=f"U({n},{p})", closure_cap=closure_cap)
     assert G.order == expected
     return G
 
 
-def glz_group(n, ell, k, closure_cap=CLOSURE_CAP, dense_cap=DENSE_CAP):
+def glz_group(n, ell, k, closure_cap=CLOSURE_CAP):
     """GL(n, Z/ell^k) from transvections plus diagonal unit generators."""
     if not _is_prime(ell):
         raise UnknownConstructor(f"GLZ needs a prime, got {ell}")
@@ -435,7 +430,7 @@ def glz_group(n, ell, k, closure_cap=CLOSURE_CAP, dense_cap=DENSE_CAP):
         gens.append(_diag_unit(n, u))
     spec = MatrixGroupSpec(n, R, tuple(gens))
     G = matrix_group(spec, name=f"GLZ({n},{ell},{k})",
-                     closure_cap=closure_cap, dense_cap=dense_cap)
+                     closure_cap=closure_cap)
     G.structure = {"matrix": True, "n": n, "ring": R,
                    "residue": (ell, k)}
     assert G.order == expected

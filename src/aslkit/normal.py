@@ -15,15 +15,14 @@ Eick and O'Brien, Handbook of Computational Group Theory (2005), ch. 3.
 from __future__ import annotations
 
 from .core import (
-    ClosureBuilder,
     Subgroup,
     class_index_of,
     conjugacy_classes,
     full_subgroup,
     is_abelian,
     product_embedding,
+    subgroup_derived,
     subgroup_generated,
-    trivial_subgroup,
 )
 from .errors import (
     DecompositionFailed,
@@ -195,33 +194,6 @@ def melnikov_subgroup(G, max_classes=LATTICE_CLASS_CAP):
 
 
 # -- solvability --------------------------------------------------------------
-
-
-def subgroup_derived(H):
-    """Derived subgroup of a Subgroup, computed inside the parent."""
-    G = H.parent
-    gens = H.gens()
-    comms = []
-    for x in gens:
-        xi = G.inv(x)
-        for y in gens:
-            c = G.mul(G.mul(xi, G.inv(y)), G.mul(x, y))
-            if c != 0:
-                comms.append(c)
-    if not comms:
-        return trivial_subgroup(G)
-    # normal closure within H: conjugate by H's generators only
-    cb = ClosureBuilder(G)
-    for c in comms:
-        cb.add(c)
-    while True:
-        grew = False
-        for g in gens:
-            for x in list(cb.gens):
-                if cb.add(G.conj(x, g)):
-                    grew = True
-        if not grew:
-            return Subgroup(G, cb.sorted_members(), gens=tuple(cb.gens))
 
 
 def is_solvable_subgroup(H):

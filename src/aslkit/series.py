@@ -26,6 +26,7 @@ from .core import (
     identity_hom,
     is_abelian,
     quotient,
+    subgroup_derived,
 )
 from .errors import DecompositionFailed
 from .normal import (
@@ -172,7 +173,7 @@ def derived_series(G):
     terms = [full_subgroup(G)]
     while True:
         cur = terms[-1]
-        nxt = _derived_of_subgroup(cur)
+        nxt = subgroup_derived(cur)
         if nxt.order == cur.order:
             break
         terms.append(nxt)
@@ -191,11 +192,6 @@ def derived_length(G):
     if not rep.terminates:
         raise ValueError(f"{G.name} is not solvable")
     return rep.length
-
-
-def _derived_of_subgroup(H):
-    from .normal import subgroup_derived
-    return subgroup_derived(H)
 
 
 def _abelian_factor(a, b):

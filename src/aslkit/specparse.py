@@ -31,7 +31,6 @@ from dataclasses import dataclass
 
 from .core import (
     CLOSURE_CAP,
-    DENSE_CAP,
     direct_product_many,
     group_from_perm_generators,
     normal_closure,
@@ -362,27 +361,25 @@ def resolve_label(G, label):
     raise GroupSpecError(f"no element labelled {label!r} in {G.name}")
 
 
-def evaluate(node, closure_cap=CLOSURE_CAP, dense_cap=DENSE_CAP):
+def evaluate(node, closure_cap=CLOSURE_CAP):
     """Build the Group a spec node denotes."""
     if isinstance(node, Named):
-        return _eval_named(node, closure_cap, dense_cap)
+        return _eval_named(node, closure_cap)
     if isinstance(node, PermSpec):
         return group_from_perm_generators(
             node.degree, node.cycles, closure_cap=closure_cap,
-            dense_cap=dense_cap,
             name=unparse(node))
     if isinstance(node, MatSpec):
         ring = _eval_ring(node.ring)
         n = len(node.matrices[0])
         spec = MatrixGroupSpec(n, ring, node.matrices)
         return matrix_group(spec, name=unparse(node),
-                            closure_cap=closure_cap, dense_cap=dense_cap)
+                            closure_cap=closure_cap)
     if isinstance(node, ProdSpec):
-        factors = [evaluate(f, closure_cap, dense_cap)
-                   for f in node.factors]
+        factors = [evaluate(f, closure_cap) for f in node.factors]
         return direct_product_many(factors, closure_cap=closure_cap)
     if isinstance(node, QuotSpec):
-        G = evaluate(node.base, closure_cap, dense_cap)
+        G = evaluate(node.base, closure_cap)
         seeds = [resolve_label(G, lab) for lab in node.labels]
         N = normal_closure(G, seeds)
         Q, _ = quotient(G, N, name=unparse(node))
@@ -390,31 +387,26 @@ def evaluate(node, closure_cap=CLOSURE_CAP, dense_cap=DENSE_CAP):
     raise TypeError(f"not a spec node: {node!r}")
 
 
-def _eval_named(node, closure_cap, dense_cap):
+def _eval_named(node, closure_cap):
     name, args = node.name, node.args
     if name == "C":
-        return cyclic_group(args[0], closure_cap=closure_cap,
-                            dense_cap=dense_cap)
+        return cyclic_group(args[0], closure_cap=closure_cap)
     if name == "D":
-        return dihedral_group(args[0], closure_cap=closure_cap,
-                              dense_cap=dense_cap)
+        return dihedral_group(args[0], closure_cap=closure_cap)
     if name == "S":
-        return symmetric_group(args[0], closure_cap=closure_cap,
-                               dense_cap=dense_cap)
+        return symmetric_group(args[0], closure_cap=closure_cap)
     if name == "A":
-        return alternating_group(args[0], closure_cap=closure_cap,
-                                 dense_cap=dense_cap)
+        return alternating_group(args[0], closure_cap=closure_cap)
     if name == "Q":
         return quaternion_group()
     if name == "GL":
-        return gl_group(*args, closure_cap=closure_cap, dense_cap=dense_cap)
+        return gl_group(*args, closure_cap=closure_cap)
     if name == "SL":
-        return sl_group(*args, closure_cap=closure_cap, dense_cap=dense_cap)
+        return sl_group(*args, closure_cap=closure_cap)
     if name == "U":
-        return unitriangular_group(*args, closure_cap=closure_cap,
-                                   dense_cap=dense_cap)
+        return unitriangular_group(*args, closure_cap=closure_cap)
     if name == "GLZ":
-        return glz_group(*args, closure_cap=closure_cap, dense_cap=dense_cap)
+        return glz_group(*args, closure_cap=closure_cap)
     raise UnknownConstructor(f"unknown constructor {name!r}")
 
 
@@ -429,5 +421,5 @@ def _eval_ring(token):
     return ResidueRing(size)
 
 
-def group_from_spec(text, closure_cap=CLOSURE_CAP, dense_cap=DENSE_CAP):
-    return evaluate(parse_group_spec(text), closure_cap, dense_cap)
+def group_from_spec(text, closure_cap=CLOSURE_CAP):
+    return evaluate(parse_group_spec(text), closure_cap)

@@ -1,15 +1,14 @@
 """Named verification suites over the group catalog.
 
-Each suite checks one structural statement on concrete groups and returns a
-deterministic list of cases. Suites may run cases on a thread pool (size
-taken from the ASL_KIT_THREADS hint); results are aggregated by case id, so
-the report bytes never depend on the parallelism.
+Each suite checks one structural statement on concrete groups and returns
+its cases sorted by case id. Cases run one after another in the calling
+thread. They share the unsynchronized per-group memos and the catalog cache,
+and under the interpreter lock pure-Python cases gain nothing from a pool.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -90,9 +89,9 @@ class SuiteResult:
         return self.failed == 0
 
 
-def _run_cases(claim, suite, jobs, threads=1):
-    """jobs: list of (id, zero-arg callable -> (ok, detail)). Deterministic
-    aggregation: results are sorted by case id regardless of thread count."""
+def _run_cases(claim, suite, jobs):
+    """jobs: list of (id, zero-arg callable -> (ok, detail)); the cases are
+    returned sorted by case id."""
 
     def call(job):
         cid, fn = job
@@ -102,19 +101,14 @@ def _run_cases(claim, suite, jobs, threads=1):
             ok, detail = False, f"{type(exc).__name__}: {exc}"
         return Case(cid, ok, detail)
 
-    if threads > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            cases = list(pool.map(call, jobs))
-    else:
-        cases = [call(j) for j in jobs]
-    cases.sort(key=lambda c: c.id)
+    cases = sorted((call(j) for j in jobs), key=lambda c: c.id)
     return SuiteResult(suite, claim, cases)
 
 
 # -- individual suites -----------------------------------------------------------
 
 
-def suite_log_length(max_order=200, threads=1):
+def suite_log_length(max_order=200):
     claim = "abelian-simple length is at most log2 of the group order"
     jobs = []
     for name, g in catalog(max_order):
@@ -123,10 +117,10 @@ def suite_log_length(max_order=200, threads=1):
             bound = math.log2(g.order) if g.order > 1 else 0
             return lng <= bound + 1e-9, f"l={lng} |G|={g.order}"
         jobs.append((name, fn))
-    return _run_cases(claim, "log-length", jobs, threads)
+    return _run_cases(claim, "log-length", jobs)
 
 
-def suite_solvable_coincidence(max_order=200, threads=1):
+def suite_solvable_coincidence(max_order=200):
     claim = ("for solvable groups the generalized derived series equals "
              "the derived series term by term")
     jobs = []
@@ -141,10 +135,10 @@ def suite_solvable_coincidence(max_order=200, threads=1):
                 len(der.terms) == len(gds.terms)
             return same, f"orders {gds.orders()}"
         jobs.append((name, fn))
-    return _run_cases(claim, "solvable-coincidence", jobs, threads)
+    return _run_cases(claim, "solvable-coincidence", jobs)
 
 
-def suite_quotient_law(max_order=48, threads=1):
+def suite_quotient_law(max_order=48):
     """Image law plus the trivial-intersection family law.
 
     The family law is checked on all lattice pairs with trivial intersection
@@ -192,10 +186,10 @@ def suite_quotient_law(max_order=48, threads=1):
                     return False, "family law fails on the full family"
             return True, f"{len(lat)} normals, {pair_checked} trivial pairs"
         jobs.append((name, fn))
-    return _run_cases(claim, "quotient-law", jobs, threads)
+    return _run_cases(claim, "quotient-law", jobs)
 
 
-def suite_normal_law(max_order=48, threads=1):
+def suite_normal_law(max_order=48):
     claim = ("series terms of a normal subgroup are contained in the "
              "group's series terms, so l(N) <= l(G)")
     jobs = []
@@ -214,10 +208,10 @@ def suite_normal_law(max_order=48, threads=1):
                         return False, f"containment fails at step {i}"
             return True, f"l(G)={gds.length}"
         jobs.append((name, fn))
-    return _run_cases(claim, "normal-law", jobs, threads)
+    return _run_cases(claim, "normal-law", jobs)
 
 
-def suite_extension_law(max_order=48, threads=1):
+def suite_extension_law(max_order=48):
     claim = "l(G) <= l(N) + l(G/N) for every normal subgroup"
     jobs = []
     for name, g in catalog(max_order):
@@ -231,7 +225,7 @@ def suite_extension_law(max_order=48, threads=1):
                     return False, f"{lg} > {ln}+{lq} at |N|={nsub.order}"
             return True, f"l(G)={lg}"
         jobs.append((name, fn))
-    return _run_cases(claim, "extension-law", jobs, threads)
+    return _run_cases(claim, "extension-law", jobs)
 
 
 def _sign_hom(sym, c2):
@@ -332,7 +326,7 @@ def fiber_triples():
     return triples
 
 
-def suite_fiber_law(max_order=None, threads=1):
+def suite_fiber_law(max_order=None):
     claim = "fiber products satisfy l(GxKH) <= max(l(G), l(H))"
     jobs = []
     for name, g, h, alpha, beta in fiber_triples():
@@ -342,10 +336,10 @@ def suite_fiber_law(max_order=None, threads=1):
             bound = max(abelian_simple_length(g), abelian_simple_length(h))
             return lf <= bound, f"l={lf} bound={bound} |GxKH|={fp.order}"
         jobs.append((name, fn))
-    return _run_cases(claim, "fiber-law", jobs, threads)
+    return _run_cases(claim, "fiber-law", jobs)
 
 
-def suite_product_decomposition(max_order=None, threads=1):
+def suite_product_decomposition(max_order=None):
     claim = ("every normal subgroup of (abelian) x (nonabelian simples) is "
              "(N n A) x a subproduct, and the quotient matches the "
              "complementary structure")
@@ -379,7 +373,7 @@ def suite_product_decomposition(max_order=None, threads=1):
                     return False, "quotient simple part mismatch"
             return True, f"{len(lat)} normals decomposed"
         jobs.append((name, fn))
-    return _run_cases(claim, "product-decomposition", jobs, threads)
+    return _run_cases(claim, "product-decomposition", jobs)
 
 
 def _s3_order2_subgroup():
@@ -395,7 +389,7 @@ def _inversion_action(cn, actor_group):
     return GroupAction(actor_group, cn, apply)
 
 
-def suite_exact_sequence(max_order=None, threads=1):
+def suite_exact_sequence(max_order=None):
     claim = ("reducing A modulo an invariant normal A0 gives a wreath "
              "surjection with kernel Ind(A0), and composite quotients "
              "compose exactly")
@@ -469,10 +463,10 @@ def suite_exact_sequence(max_order=None, threads=1):
         return hom.kernel().order == 4, "kernel order |A0|^2 = 4"
     jobs.append(("C4/C2 over C2, G0 = 1", small_kernel))
 
-    return _run_cases(claim, "exact-sequence", jobs, threads)
+    return _run_cases(claim, "exact-sequence", jobs)
 
 
-def suite_msigma(max_order=None, threads=1):
+def suite_msigma(max_order=None):
     claim = ("coset count of G0 in G^(m) G0 above 2^m forces a nontrivial "
              "element of the (m+1)-st series term inside Ind")
     jobs = []
@@ -507,7 +501,7 @@ def suite_msigma(max_order=None, threads=1):
         return wit is None and not hyp, "hypothesis false, no witness"
     jobs.append(("A=C2 G=G0=C2 m=0", case_false))
 
-    return _run_cases(claim, "msigma", jobs, threads)
+    return _run_cases(claim, "msigma", jobs)
 
 
 @lru_cache(maxsize=None)
@@ -526,15 +520,13 @@ def _a5_wreath_s3():
     return twisted_wreath_product(alternating_group(5), s3, g0)
 
 
-def suite_simple_nonabelian(max_order=None, threads=1):
+def suite_simple_nonabelian(max_order=None):
     claim = ("for A a product of copies of one nonabelian simple group, the "
              "wreath series term is Ind x| (series term of G)")
     jobs = []
 
     def big_case():
         w = _a5_wreath_c2()
-        if w.group.backend != "on-the-fly":
-            return False, "expected the on-the-fly backend"
         series = generalized_derived_series(w.group, max_terms=2)
         h1 = series.terms[1]
         ok = h1.order == 3600 and h1.member_set == w.ind.member_set
@@ -554,10 +546,10 @@ def suite_simple_nonabelian(max_order=None, threads=1):
         return ok, f"H^(1) = Ind x| G^(1), order {h1.order}"
     jobs.append(("A=A5 G=S3 G0=A3", nontrivial_term_case))
 
-    return _run_cases(claim, "simple-nonabelian", jobs, threads)
+    return _run_cases(claim, "simple-nonabelian", jobs)
 
 
-def suite_nontrivial_action(max_order=None, threads=1):
+def suite_nontrivial_action(max_order=None):
     claim = ("for a nontrivial irreducible F_p module A of G0, the wreath "
              "derived subgroup is Ind x| G'")
     jobs = []
@@ -580,10 +572,10 @@ def suite_nontrivial_action(max_order=None, threads=1):
         return ok, f"|H'| = {hp.order} = |Ind| * |G'| = {16 * gp.order}"
     jobs.append(("p=2 A=F2^2 G0=C3 G=S3", case96))
 
-    return _run_cases(claim, "nontrivial-action", jobs, threads)
+    return _run_cases(claim, "nontrivial-action", jobs)
 
 
-def suite_trvrep(max_order=48, threads=1):
+def suite_trvrep(max_order=48):
     """Orbit hypothesis forces a nonzero chain term.
 
     G0 runs over the distinct cyclic subgroups generated by one conjugacy
@@ -637,10 +629,10 @@ def suite_trvrep(max_order=48, threads=1):
             return False, "A4 on A4/C3: V_2 = 0"
         return True, "fixed chain examples"
     jobs.append(("fixed-instances", fixed_dims))
-    return _run_cases(claim, "trvrep", jobs, threads)
+    return _run_cases(claim, "trvrep", jobs)
 
 
-def suite_kernel(max_order=None, threads=1):
+def suite_kernel(max_order=None):
     claim = ("the kernel of entrywise reduction GL_n(Z/l^k) -> GL_n(Z/l) "
              "is an l-group of order l^(n^2 (k-1))")
     jobs = []
@@ -655,10 +647,10 @@ def suite_kernel(max_order=None, threads=1):
         ker = residue_kernel(2, 2, 1)
         return ker.order == 1, "k=1 reduction is the identity"
     jobs.append(("n=2 l=2 k=1", k1))
-    return _run_cases(claim, "kernel", jobs, threads)
+    return _run_cases(claim, "kernel", jobs)
 
 
-def suite_lp(max_order=None, threads=1):
+def suite_lp(max_order=None):
     claim = ("filtration search succeeds and validates on the reference "
              "matrix groups; the residual length obeys log2(J) + 2")
     jobs = []
@@ -701,14 +693,14 @@ def suite_lp(max_order=None, threads=1):
                     f"l = {length} <= 3")
     jobs.append(("SL(2,3) l=3 J=2", sl23))
 
-    return _run_cases(claim, "lp", jobs, threads)
+    return _run_cases(claim, "lp", jobs)
 
 
 def _det2(M, m):
     return (M[0][0] * M[1][1] - M[0][1] * M[1][0]) % m
 
 
-def suite_sn_bound(max_order=None, threads=1):
+def suite_sn_bound(max_order=None):
     claim = ("symmetric groups up to degree 7 have length at most 3; "
              "transitive degree-d groups have length at most log2(d!)")
     jobs = []
@@ -723,10 +715,10 @@ def suite_sn_bound(max_order=None, threads=1):
             bound = math.log2(math.factorial(d)) if d > 1 else 0
             return lng <= bound + 1e-9, f"l = {lng}, log2({d}!) = {bound:.2f}"
         jobs.append((f"transitive {name} deg {d}", fn))
-    return _run_cases(claim, "sn-bound", jobs, threads)
+    return _run_cases(claim, "sn-bound", jobs)
 
 
-def suite_unipotent(max_order=None, threads=1):
+def suite_unipotent(max_order=None):
     claim = "unitriangular groups U(n,p) have derived length at most n-1"
     jobs = []
     for n in (2, 3, 4):
@@ -735,10 +727,10 @@ def suite_unipotent(max_order=None, threads=1):
                 dl = unipotent_derived_length(n, p)
                 return dl <= n - 1, f"derived length {dl}"
             jobs.append((f"U({n},{p})", fn))
-    return _run_cases(claim, "unipotent", jobs, threads)
+    return _run_cases(claim, "unipotent", jobs)
 
 
-def suite_oracle_agreement(max_order=100, oracle_cap=16, threads=1):
+def suite_oracle_agreement(max_order=100, oracle_cap=16):
     """Groups are selected by the class cap, but the oracle itself runs with
     the cap lifted to the order bound: derived steps of a small-class group
     can have more classes than the group itself (D3 x D7 descends to C21),
@@ -767,7 +759,7 @@ def suite_oracle_agreement(max_order=100, oracle_cap=16, threads=1):
                 return False, f"length {lm} != oracle {lo}"
             return True, f"l = {lm}, {len(main_lat)} normals"
         jobs.append((name, fn))
-    return _run_cases(claim, "oracle-agreement", jobs, threads)
+    return _run_cases(claim, "oracle-agreement", jobs)
 
 
 SUITES = {
@@ -798,11 +790,11 @@ _MAX_ORDER_SUITES = {
 }
 
 
-def run_suite(name, max_order=200, oracle_cap=16, threads=1):
+def run_suite(name, max_order=200, oracle_cap=16):
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}")
     fn = SUITES[name]
-    kwargs = {"threads": threads}
+    kwargs = {}
     if name in _MAX_ORDER_SUITES:
         cap = _MAX_ORDER_SUITES[name]
         kwargs["max_order"] = max_order if cap is None else min(max_order, cap)
@@ -811,7 +803,6 @@ def run_suite(name, max_order=200, oracle_cap=16, threads=1):
     return fn(**kwargs)
 
 
-def run_all(max_order=200, oracle_cap=16, threads=1):
-    return [run_suite(name, max_order=max_order, oracle_cap=oracle_cap,
-                      threads=threads)
+def run_all(max_order=200, oracle_cap=16):
+    return [run_suite(name, max_order=max_order, oracle_cap=oracle_cap)
             for name in SUITES]

@@ -19,12 +19,12 @@ from dataclasses import dataclass
 
 from .core import (
     CLOSURE_CAP,
-    DENSE_CAP,
     Group,
     GroupAction,
     Homomorphism,
     Subgroup,
     full_subgroup,
+    left_coset_reps,
     quotient,
     semidirect_product,
     trivial_subgroup,
@@ -33,22 +33,8 @@ from .errors import CapExceeded, NotAnAction, NotInvariant, PropositionViolated
 from .series import generalized_derived_series
 
 
-def left_coset_reps(G, G0: Subgroup):
-    """Minimal-index representatives of the left cosets sG0, sorted."""
-    n = G.order
-    rep_of = [-1] * n
-    reps = []
-    for i in range(n):
-        if rep_of[i] == -1:
-            reps.append(i)
-            for t in G0.members:
-                rep_of[G.mul(i, t)] = i
-    return reps, rep_of
-
-
 def induced_group(A, G, G0: Subgroup, act: GroupAction = None,
-                  closure_cap=CLOSURE_CAP, dense_cap=DENSE_CAP,
-                  validate=False):
+                  closure_cap=CLOSURE_CAP, validate=False):
     """Group of G0-equivariant functions G -> A, plus the right G-action on it.
 
     act is a right action of the materialized G0 on A; None means trivial.
@@ -158,11 +144,10 @@ class WreathProduct:
 
 
 def twisted_wreath_product(A, G, G0: Subgroup, act: GroupAction = None,
-                           closure_cap=CLOSURE_CAP, dense_cap=DENSE_CAP,
-                           validate=False):
+                           closure_cap=CLOSURE_CAP, validate=False):
     """Build A wr_{G0} G = Ind x| G with its distinguished subgroups."""
     Ind, g_action = induced_group(A, G, G0, act, closure_cap=closure_cap,
-                                  dense_cap=dense_cap, validate=validate)
+                                  validate=validate)
     if Ind.order * G.order > closure_cap:
         raise CapExceeded("wreath order exceeds cap")
     m = Ind.structure["m"]

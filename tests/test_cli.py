@@ -1,8 +1,12 @@
 """CLI subcommands, exit codes, and report determinism."""
 
 import json
+import re
+from pathlib import Path
 
-from aslkit.cli import run
+from aslkit.cli import _build_parser, run
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def _json_result(argv):
@@ -116,6 +120,27 @@ def test_cap_exceeded_exit_3():
     assert code == 3
     _, code = run(["--closure-cap", "10", "length", "S4"])
     assert code == 3
+
+
+def test_dense_cap_is_a_usage_error():
+    _, code = run(["--dense-cap", "10", "length", "S4"])
+    assert code == 2
+    _, code = run(["length", "S4", "--dense-cap", "10"])
+    assert code == 2
+
+
+def test_readme_documents_the_global_options():
+    text = README.read_text(encoding="utf-8")
+    synopsis = next(line for line in text.splitlines()
+                    if line.startswith("aslkit [--json]"))
+    caps = text.split("\n## Caps\n", 1)[1].split("\n## ", 1)[0]
+    table = "\n".join(line for line in caps.splitlines()
+                      if line.startswith("|"))
+    documented = set(re.findall(r"--[a-z][a-z-]*", synopsis + "\n" + table))
+    accepted = {flag for action in _build_parser()._actions
+                for flag in action.option_strings
+                if flag not in ("-h", "--help")}
+    assert documented == accepted
 
 
 def test_verify_suite_exit_codes():

@@ -2,6 +2,7 @@
 
 import pytest
 
+from aslkit.catalog import catalog
 from aslkit.core import (
     ClosureBuilder,
     check_group_axioms,
@@ -20,6 +21,8 @@ from aslkit.core import (
     product_projection,
     quotient,
     semidirect_product,
+    subgroup_closure,
+    subgroup_derived,
     subgroup_generated,
     trivial_subgroup,
     trivial_action,
@@ -33,6 +36,7 @@ from aslkit.families import (
     dihedral_group,
     symmetric_group,
 )
+from aslkit.normal import class_closures
 
 
 def test_perm_generators_s3():
@@ -77,15 +81,6 @@ def test_closure_cap():
 def test_canonical_order_identity_first(s4):
     assert s4.labels[0] == "()"
     assert s4.identity == 0
-
-
-def test_backend_selection():
-    small = symmetric_group(4)
-    assert small.backend == "dense-table"
-    big = symmetric_group(7)
-    assert big.backend == "on-the-fly"
-    with pytest.raises(CapExceeded):
-        big.cayley_table()
 
 
 def test_axioms_on_sample_groups(s4, q8, d4):
@@ -222,6 +217,22 @@ def test_commutator_subgroups(s3, a5):
     assert commutator_subgroup(s3).order == 3
     assert commutator_subgroup(cyclic_group(12)).order == 1
     assert commutator_subgroup(a5).order == 60  # perfect
+
+
+def _all_pairs_derived(G, members):
+    """<x^-1 y^-1 x y : x, y in members>, with no conjugation loop."""
+    return frozenset(subgroup_closure(G, [
+        G.mul(G.mul(G.inv(x), G.inv(y)), G.mul(x, y))
+        for x in members for y in members]))
+
+
+def test_derived_subgroups_match_all_pairs_commutators():
+    for name, G in catalog(64):
+        assert commutator_subgroup(G).member_set == \
+            _all_pairs_derived(G, range(G.order)), name
+        for H in class_closures(G):
+            assert subgroup_derived(H).member_set == \
+                _all_pairs_derived(G, H.members), name
 
 
 def test_conjugacy_classes(s3, s4):
