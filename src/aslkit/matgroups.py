@@ -33,23 +33,13 @@ from .errors import (
 from .families import alternating_group
 from .normal import (
     LATTICE_CLASS_CAP,
+    _is_prime,
     all_normal_subgroups,
     is_simple,
 )
 from .series import abelian_simple_length
 
 FIELD_SIZE_CAP = 64
-
-
-def _is_prime(n):
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
 
 
 def _factor(n):

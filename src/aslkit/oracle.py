@@ -5,10 +5,12 @@ conjugacy classes, so both rest on `core.conjugacy_classes`. What still
 differs is the search: the main path grows class spans from single-class
 closures, visiting each class once, and joins them; the oracle enumerates
 every identity-containing union of classes exhaustively, with infeasible
-branches pruned through an all-pairs class-product table and a naive
-fixpoint. The shared class partition and the spans are checked against
-element-level closures and brute-force conjugation in the tests, so
-agreement here is still meaningful evidence. Performance is a non-goal; the
+branches pruned through an all-pairs class-product table. Each branch adds
+one class to a product-closed set and grows the closure from that class,
+reading only the table entries that involve a class it gained. The shared
+class partition and the spans are checked against element-level closures
+and brute-force conjugation in the tests, so agreement here is still
+meaningful evidence. Performance is a non-goal; the
 enumeration is exponential in the class count.
 """
 
@@ -49,25 +51,32 @@ def _closed_class_masks(G, max_classes):
             f"{G.name}: {c} conjugacy classes exceed oracle cap {max_classes}")
     masks = _class_product_masks(G)
 
-    def class_closure(mask):
-        """Smallest multiplication-closed class set containing mask."""
-        while True:
-            new = mask
-            rest_i, i = mask, 0
-            while rest_i:
-                if rest_i & 1:
-                    row = masks[i]
-                    rest_j, j = mask, 0
-                    while rest_j:
-                        if rest_j & 1:
-                            new |= row[j]
-                        rest_j >>= 1
-                        j += 1
-                rest_i >>= 1
-                i += 1
-            if new == mask:
-                return mask
-            mask = new
+    def grow(closed, k):
+        """Smallest product-closed class set containing the product-closed
+        set `closed` and class k.
+
+        Each class the closure gains is visited once and multiplied by every
+        class present at that point. The products c_i * c_j and c_j * c_i hit
+        the same classes (xy and yx are conjugate), so every pair that
+        involves a gained class is read when the later of the two is
+        visited, and pairs inside `closed` are never read again.
+        """
+        mask = closed | 1 << k
+        todo = 1 << k
+        while todo:
+            low = todo & -todo
+            todo ^= low
+            row = masks[low.bit_length() - 1]
+            hit = 0
+            rest = mask
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                hit |= row[bit.bit_length() - 1]
+            new = hit & ~mask
+            mask |= new
+            todo |= new
+        return mask
 
     out = []
 
@@ -80,7 +89,7 @@ def _closed_class_masks(G, max_classes):
         if closed & bit:
             extend(k + 1, closed, excluded)
             return
-        grown = class_closure(closed | bit)
+        grown = grow(closed, k)
         if not grown & excluded:
             extend(k + 1, grown, excluded)
         extend(k + 1, closed, excluded | bit)

@@ -11,6 +11,12 @@ with nonabelian (simple) quotient contains R, because the image of a solvable
 normal subgroup in a nonabelian simple quotient is trivial. Working in G/R
 keeps the lattice enumeration away from large abelian groups, whose class
 counts would otherwise blow past the enumeration cap.
+
+R is found from the derived series first (`normal.solvable_radical`). For a
+solvable G the walk reaches 1, so R = G, D0 = G and D(G) = G': the series
+of a solvable group is its derived series, and no conjugacy class, class
+span or lattice is computed for it or for any of its terms. Only a group
+with a nontrivial perfect residuum reaches the class layer.
 """
 
 from __future__ import annotations
@@ -84,10 +90,13 @@ class SeriesReport:
 
 
 def abelian_invariants(H):
-    """Invariant factors of an abelian Subgroup, from element order counts.
+    """Invariant factors of an abelian Subgroup, from its p-power images.
 
-    For each prime p the p-primary type is recovered from the counts of
-    elements killed by p^j; primary parts are then merged largest-first.
+    In an abelian group x -> x^p is a homomorphism, so the number of members
+    killed by p^j is |H| / |H^(p^j)|. The images H^(p^j) are carried forward
+    one p-th power at a time, each image raising only the distinct members
+    of the one before. For each prime p the p-primary type is recovered from
+    these counts; primary parts are then merged largest-first.
     """
     G = H.parent
     n = H.order
@@ -98,15 +107,13 @@ def abelian_invariants(H):
     for p in primes:
         # c_j = number of members x with x^(p^j) = identity
         counts = [1]
-        j = 1
+        image = H.members
         while True:
-            q = p ** j
-            c = sum(1 for x in H.members if _power(G, x, q) == 0)
-            counts.append(c)
-            if c == counts[-2]:
-                counts.pop()
+            image = {_power(G, x, p) for x in image}
+            c = n // len(image)
+            if c == counts[-1]:
                 break
-            j += 1
+            counts.append(c)
         lam_conj = []
         for j in range(1, len(counts)):
             e = _int_log(counts[j] // counts[j - 1], p)
@@ -129,14 +136,16 @@ def abelian_invariants(H):
 
 
 def _power(G, x, e):
-    r = 0
-    b = x
-    while e:
+    """x^e for e >= 1, by binary powering without a product by the identity
+    or a square past the top bit."""
+    r = None
+    while True:
         if e & 1:
-            r = G.mul(r, b)
-        b = G.mul(b, b)
+            r = x if r is None else G.mul(r, x)
         e >>= 1
-    return r
+        if not e:
+            return r
+        x = G.mul(x, x)
 
 
 def _int_log(n, p):

@@ -7,7 +7,12 @@ against the oracle first and the frozen constant second.
 
 import json
 import math
+import os
+import subprocess
+import sys
 import time
+
+import aslkit
 
 from aslkit.catalog import catalog, transitive_catalog
 from aslkit.cli import run
@@ -166,27 +171,32 @@ def test_criterion_12_numeric_claims():
             f"failures: {all_fail}")
 
 
-def test_criterion_13_determinism(monkeypatch):
-    """Byte-identical machine-readable reports across runs and thread hints.
+def test_criterion_13_determinism():
+    """Byte-identical machine-readable reports in and out of process.
 
-    The full suite list runs both times; the catalog sweep is capped at
-    order 64 to keep the double execution quick (the fixed-instance suites
-    do not depend on the cap at all).
+    The in-process render is compared with a cold `python -m aslkit.cli`
+    run under a different PYTHONHASHSEED, so neither warm caches nor set
+    and dict ordering can make the two agree by accident. The full suite
+    list runs both times; the catalog sweep is capped at order 64 to keep
+    the double execution quick (the fixed-instance suites do not depend on
+    the cap at all).
     """
     argv = ["verify", "all", "--max-order", "64", "--json"]
+    report, code = run(argv)
+    assert code == 0
+    first = report.to_json()
 
-    def render(threads):
-        monkeypatch.setenv("ASL_KIT_THREADS", str(threads))
-        report, code = run(argv)
-        assert code == 0
-        return report.to_json()
-
-    first = render(1)
-    second = render(1)
-    third = render(4)
+    env = dict(os.environ)
+    env["PYTHONHASHSEED"] = "2" if env.get("PYTHONHASHSEED") == "1" else "1"
+    src = os.path.dirname(os.path.dirname(aslkit.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    cold = subprocess.run([sys.executable, "-m", "aslkit.cli"] + argv,
+                          env=env, capture_output=True, text=True,
+                          check=True)
     payload = json.loads(first)
     suites = [s["suite"] for s in payload["result"]["suites"]]
-    ok = first == second == third and len(suites) == 17
+    ok = first == cold.stdout and len(suites) == 17
     _report(13, ok,
-            f"{len(suites)} suites, identical bytes across reruns and "
-            f"thread hints 1/4")
+            f"{len(suites)} suites, identical bytes in process and in a "
+            f"cold process under PYTHONHASHSEED={env['PYTHONHASHSEED']}")

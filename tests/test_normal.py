@@ -14,15 +14,22 @@ from aslkit.core import (
     direct_product_many,
     group_from_perm_generators,
     normal_closure,
+    subgroup_generated,
     trivial_subgroup,
 )
 from aslkit.errors import NotSimpleFactor, TooManyClasses, TrivialGroup
-from aslkit.families import alternating_group, cyclic_group, symmetric_group
+from aslkit.families import (
+    alternating_group,
+    cyclic_group,
+    dihedral_group,
+    symmetric_group,
+)
 from aslkit.normal import (
     all_normal_subgroups,
     class_closures,
     is_simple,
     is_solvable,
+    is_solvable_subgroup,
     maximal_normal_subgroups,
     melnikov_subgroup,
     product_normal_decomposition,
@@ -241,3 +248,63 @@ def test_class_closures_cost_on_abelian_groups():
         ours = _count_muls(build(), class_closures)
         ref = _count_muls(build(), element_level)
         assert ours <= ref, (ours, ref)
+
+
+def _element_level_groups():
+    return [g for _, g in catalog(120)] + _random_perm_groups()
+
+
+def test_solvable_radical_matches_element_level_definition():
+    """The radical is generated by the solvable element-level closures."""
+    for g in _element_level_groups():
+        seeds = []
+        for cls in conjugacy_classes(g):
+            sub = normal_closure(g, (cls[0],))
+            if is_solvable_subgroup(sub):
+                seeds.extend(sub.gens())
+        ref = subgroup_generated(g, seeds)
+        rad = solvable_radical(g)
+        assert rad.member_set == ref.member_set, g.name
+        assert is_solvable(g) == (rad.order == g.order), g.name
+
+
+def test_is_simple_matches_class_closures():
+    """Simple iff the normal closure of every class is 1 or G."""
+    for g in _element_level_groups():
+        if g.order == 1:
+            continue
+        ref = all(normal_closure(g, (cls[0],)).order in (1, g.order)
+                  for cls in conjugacy_classes(g))
+        assert is_simple(g) == ref, g.name
+
+
+def test_solvable_series_skips_the_class_layer():
+    """The series of a solvable group computes no conjugacy class.
+
+    The groups are built fresh, so no other test has warmed their caches;
+    every group the series materializes, the terms and the factor quotients,
+    is checked.
+    """
+    from aslkit.series import (
+        abelian_simple_length,
+        generalized_derived_subgroup,
+    )
+    big = direct_product(dihedral_group(4), symmetric_group(4))
+    assert big.order == 192
+    assert "D4 x S4" in dict(catalog(192))
+    for g in (symmetric_group(4),
+              direct_product(cyclic_group(6), symmetric_group(3)), big):
+        abelian_simple_length(g)
+        h = g
+        while True:
+            seen = [h] + [v[0] for k, v in h._cache.items()
+                          if isinstance(k, tuple) and k[0] == "quotient"]
+            for grp in seen:
+                assert "classes" not in grp._cache, grp.name
+                assert "class_spans" not in grp._cache, grp.name
+            if h.order == 1:
+                break
+            d = generalized_derived_subgroup(h)
+            if d.order == 1:
+                break
+            h = d.as_group()

@@ -64,3 +64,27 @@ def test_d_agreement_wide():
             continue
         assert generalized_derived_subgroup(g).member_set == \
             oracle_D(g, max_classes=100).member_set, name
+
+
+def test_closed_class_masks_bruteforce():
+    """The pruned search returns every identity-containing union of classes
+    that is closed under the class-product table, and nothing else."""
+    from aslkit.catalog import catalog
+    from aslkit.core import conjugacy_classes
+    from aslkit.oracle import _class_product_masks, _closed_class_masks
+    checked = 0
+    for name, g in catalog():
+        c = len(conjugacy_classes(g))
+        if c > 10:
+            continue
+        table = _class_product_masks(g)
+        ref = []
+        for rest in range(1 << (c - 1)):
+            mask = rest << 1 | 1
+            inside = [i for i in range(c) if mask >> i & 1]
+            if all(table[i][j] | mask == mask
+                   for i in inside for j in inside):
+                ref.append(mask)
+        assert _closed_class_masks(g, 10) == ref, name
+        checked += 1
+    assert checked > 100

@@ -2,7 +2,12 @@
 
 import math
 
-from aslkit.core import direct_product, full_subgroup, quotient
+from aslkit.core import (
+    direct_product,
+    direct_product_many,
+    full_subgroup,
+    quotient,
+)
 from aslkit.families import (
     alternating_group,
     cyclic_group,
@@ -107,6 +112,27 @@ def test_abelian_invariants(v4, c6):
     assert abelian_invariants(full_subgroup(c2c8)) == (2, 8)
     c6c4 = direct_product(cyclic_group(6), cyclic_group(4))
     assert abelian_invariants(full_subgroup(c6c4)) == (2, 12)
+
+
+def _invariant_factors(orders):
+    """Invariant factors of a product of cyclic groups, by gcd/lcm swaps:
+    (x, y) -> (gcd, lcm) keeps the group and ends in a divisibility chain."""
+    d = list(orders)
+    for i in range(len(d)):
+        for j in range(i + 1, len(d)):
+            d[i], d[j] = math.gcd(d[i], d[j]), math.lcm(d[i], d[j])
+    return tuple(x for x in d if x > 1)
+
+
+def test_abelian_invariants_of_cyclic_products():
+    """C_a x C_b x C_c for a, b, c in 1..12, against gcd/lcm normal form."""
+    cyc = {n: cyclic_group(n) for n in range(1, 13)}
+    for a in range(1, 13):
+        for b in range(1, 13):
+            for c in range(1, 13):
+                g = direct_product_many([cyc[a], cyc[b], cyc[c]])
+                assert abelian_invariants(full_subgroup(g)) == \
+                    _invariant_factors((a, b, c)), (a, b, c)
 
 
 def test_factor_structure(s3, a5):
