@@ -1,11 +1,18 @@
 """Finite groups behind a uniform index-based multiplication oracle.
 
 Elements of a group are integers 0..order-1; index 0 is always the identity.
-Each group carries immutable element values (permutation tuples, residues,
-index pairs, ...) plus a value-level multiplication, and memoizes the
-products it is asked for in one dict keyed by the index pair. No Cayley table
-is ever materialized: large groups touch only a small part of theirs, so
-construction cost stays linear in the order.
+Each group carries immutable element values (permutation tuples, matrices,
+residues, index tuples, ...). Only the leaf groups, whose values are
+permutations, matrices, residues or vectors, multiply values: they find the
+product's index in a value dict and memoize the products they are asked for
+in one dict keyed by the index pair. Groups built from other groups
+multiply on indices and keep no memo: direct and semidirect products read
+mixed-radix digits, induced groups multiply digit-wise, quotients multiply
+coset representatives and materialized subgroups multiply their members in
+the parent, so a product costs a few products further down and the only
+memos are those of the leaves (fiber products stay value-level). No Cayley
+table is ever materialized: large groups touch only a small part of
+theirs, so construction cost stays linear in the order.
 
 Conventions, used consistently everywhere:
   - permutations multiply left-to-right: (p*q)(x) = q(p(x)), i.e. everything
@@ -31,25 +38,42 @@ from .errors import (
 
 CLOSURE_CAP = 100000
 
-# Validation policy: exhaustive up to this order, sampled beyond it.
+# Associativity policy of check_group_axioms: exhaustive up to this order,
+# sampled beyond it.
 EXHAUSTIVE_ORDER = 512
 SAMPLE_COUNT = 10000
 SAMPLE_SEED = 0
 
 
 class Group:
-    """A finite group given by an indexed element table and a product oracle."""
+    """A finite group given by an indexed element table and a product oracle.
 
-    def __init__(self, values, vmul, vinv, labeler, name="group",
-                 generators=None, kind="table"):
+    A leaf group (no `encode`) multiplies element values: `mul` and `inv`
+    act on values, a dict maps each value back to its index, and the
+    products asked for are memoized in `_mul_cache`. A composed group is
+    built from other groups (`encode` given): `mul` and `inv` take and
+    return indices, `encode` maps a value to its index, and no product is
+    memoized, since each one costs a few products in the groups below.
+    """
+
+    def __init__(self, values, mul, inv, labeler, name="group",
+                 generators=None, kind="table", encode=None):
         values = list(values)
         self.order = len(values)
         self._values = values
-        self._index = {v: i for i, v in enumerate(values)}
-        if len(self._index) != self.order:
-            raise ValueError("duplicate element values")
-        self._vmul = vmul
-        self._vinv = vinv
+        if encode is None:
+            index = {v: i for i, v in enumerate(values)}
+            if len(index) != self.order:
+                raise ValueError("duplicate element values")
+            self._index = index
+            self._encode = index.__getitem__
+            self._vmul = mul
+            self._compose = None
+            self._iinv = lambda i: index[inv(values[i])]
+        else:
+            self._encode = encode
+            self._compose = mul
+            self._iinv = inv
         self.labels = tuple(labeler(v) for v in values)
         self.name = name
         self.kind = kind
@@ -74,6 +98,9 @@ class Group:
     # -- oracle ------------------------------------------------------------
 
     def mul(self, i, j):
+        compose = self._compose
+        if compose is not None:
+            return compose(i, j)
         key = i * self.order + j
         r = self._mul_cache.get(key)
         if r is None:
@@ -84,7 +111,7 @@ class Group:
     def inv(self, i):
         r = self._inv_cache[i]
         if r is None:
-            r = self._index[self._vinv(self._values[i])]
+            r = self._iinv(i)
             self._inv_cache[i] = r
         return r
 
@@ -99,7 +126,7 @@ class Group:
         return self.labels[i]
 
     def index_of(self, value):
-        return self._index[value]
+        return self._encode(value)
 
     def element_order(self, i):
         orders = self._cache.get("element_orders")
@@ -210,16 +237,28 @@ class Subgroup:
                             f"in {self.parent.name!r}")
 
     def as_group(self):
-        """Materialize as a standalone Group; element values are parent indices."""
+        """Materialize as a standalone Group; element values are parent indices.
+
+        Index k stands for members[k], and products are taken in the parent.
+        """
         if self._as_group is None:
             G = self.parent
+            members = self.members
+            pos = {p: i for i, p in enumerate(members)}
+            gmul, ginv = G.mul, G.inv
+
+            def mul(i, j):
+                return pos[gmul(members[i], members[j])]
+
+            def inv(i):
+                return pos[ginv(members[i])]
+
             name = f"{G.name}|sub{self.order}"
-            H = Group(self.members, G.mul, G.inv, G.label, name=name,
-                      kind="subgroup")
+            H = Group(members, mul, inv, G.label, name=name,
+                      kind="subgroup", encode=pos.__getitem__)
             if self._gens is not None:
-                pos = {p: i for i, p in enumerate(self.members)}
                 H.generators = [pos[g] for g in self._gens]
-            H.parent_indices = self.members
+            H.parent_indices = members
             self._as_group = H
         return self._as_group
 
@@ -432,6 +471,8 @@ def commutator_subgroup(G):
 
 
 def center(G):
+    if is_abelian(G):
+        return full_subgroup(G)
     gens = G.generators
     members = [x for x in range(G.order)
                if all(G.mul(x, g) == G.mul(g, x) for g in gens)]
@@ -493,26 +534,18 @@ class Homomorphism:
         return Homomorphism(other.source, self.target,
                             [self.mapping[t] for t in other.mapping])
 
-    def validate(self, exhaustive_order=EXHAUSTIVE_ORDER,
-                 samples=SAMPLE_COUNT, seed=SAMPLE_SEED):
-        """Check the homomorphism property per the sampling policy; True/False.
+    def validate(self):
+        """Check the homomorphism property exactly; True/False.
 
-        Exhaustive over all pairs when the source order allows it, else on
-        fixed-seed random pairs plus all generator pairs.
+        m(x*g) = m(x)*m(g) for every x and every generator g suffices: every
+        element is a word in the generators, so m(x*y) = m(x)*m(y) follows
+        letter by letter. Costs |G| * #generators products.
         """
         G, H, m = self.source, self.target, self.mapping
         if m[0] != 0:
             return False
-        n = G.order
-        if n <= exhaustive_order:
-            pairs = ((i, j) for i in range(n) for j in range(n))
-        else:
-            rng = random.Random(seed)
-            fixed = [(a, b) for a in G.generators for b in G.generators]
-            pairs = itertools.chain(
-                fixed, ((rng.randrange(n), rng.randrange(n))
-                        for _ in range(samples)))
-        return all(m[G.mul(i, j)] == H.mul(m[i], m[j]) for i, j in pairs)
+        return all(m[G.mul(x, g)] == H.mul(m[x], m[g])
+                   for g in G.generators for x in range(G.order))
 
 
 def hom_from_map(source, target, mapping, validate=True):
@@ -545,35 +578,31 @@ class GroupAction:
                    for g in self.actor.generators
                    for a in range(self.space.order))
 
-    def validate(self, exhaustive_order=EXHAUSTIVE_ORDER,
-                 samples=SAMPLE_COUNT, seed=SAMPLE_SEED):
-        """Raise NotAnAction / NotAutomorphisms on a violated law."""
+    def validate(self):
+        """Raise NotAnAction / NotAutomorphisms on a violated law.
+
+        The checks are exact, with generators h of the actor and b of the
+        space: a^(g*h) = (a^g)^h for every a and g extends to every h by
+        induction on its word, and (a*b)^h = a^h * b^h for every a makes each
+        generator act by an endomorphism, hence (with the action law) every
+        element by an automorphism.
+        """
         A, H, app = self.space, self.actor, self.apply
         for a in range(A.order):
             if app(a, 0) != a:
                 raise NotAnAction("identity of the actor must act trivially")
-        n = A.order * H.order * H.order
-        if n <= exhaustive_order ** 2:
-            triples = ((a, g, h) for a in range(A.order)
-                       for g in range(H.order) for h in range(H.order))
-        else:
-            rng = random.Random(seed)
-            triples = ((rng.randrange(A.order), rng.randrange(H.order),
-                        rng.randrange(H.order)) for _ in range(samples))
-        for a, g, h in triples:
-            if app(a, H.mul(g, h)) != app(app(a, g), h):
-                raise NotAnAction("a^(gh) != (a^g)^h")
-        n = A.order * A.order * H.order
-        if n <= exhaustive_order ** 2:
-            triples = ((a, b, g) for a in range(A.order)
-                       for b in range(A.order) for g in range(H.order))
-        else:
-            rng = random.Random(seed + 1)
-            triples = ((rng.randrange(A.order), rng.randrange(A.order),
-                        rng.randrange(H.order)) for _ in range(samples))
-        for a, b, g in triples:
-            if app(A.mul(a, b), g) != A.mul(app(a, g), app(b, g)):
-                raise NotAutomorphisms("(ab)^g != a^g b^g")
+        for h in H.generators:
+            for g in range(H.order):
+                gh = H.mul(g, h)
+                for a in range(A.order):
+                    if app(a, gh) != app(app(a, g), h):
+                        raise NotAnAction("a^(gh) != (a^g)^h")
+        for h in H.generators:
+            for b in A.generators:
+                bh = app(b, h)
+                for a in range(A.order):
+                    if app(A.mul(a, b), h) != A.mul(app(a, h), bh):
+                        raise NotAutomorphisms("(ab)^g != a^g b^g")
         return True
 
 
@@ -584,6 +613,38 @@ def trivial_action(actor, space):
 # -- product constructions -------------------------------------------------------
 
 
+def mixed_radix(factors):
+    """Product, inverse and tuple -> index map on the indices of the direct
+    product of the factors, numbered as itertools.product numbers tuples.
+
+    An index is x * |rest| + y, x in the first factor and y an index of the
+    product of the others, which is split the same way. A part that is the
+    identity 0 needs no product.
+    """
+    head = factors[0]
+    if len(factors) == 1:
+        return head.mul, head.inv, lambda t: t[0]
+    rest = 1
+    for f in factors[1:]:
+        rest *= f.order
+    hmul, hinv = head.mul, head.inv
+    rmul, rinv, rencode = mixed_radix(factors[1:])
+
+    def mul(i, j):
+        a, b = i // rest, j // rest
+        c, d = i % rest, j % rest
+        return ((hmul(a, b) if a and b else a + b) * rest
+                + (rmul(c, d) if c and d else c + d))
+
+    def inv(i):
+        return hinv(i // rest) * rest + rinv(i % rest)
+
+    def encode(t):
+        return t[0] * rest + rencode(t[1:])
+
+    return mul, inv, encode
+
+
 def direct_product_many(factors, name=None, closure_cap=CLOSURE_CAP):
     """Direct product with tuple values; factors and embeddings retained."""
     total = 1
@@ -591,14 +652,7 @@ def direct_product_many(factors, name=None, closure_cap=CLOSURE_CAP):
         total *= f.order
     if total > closure_cap:
         raise CapExceeded(f"product order {total} exceeds cap {closure_cap}")
-    muls = [f.mul for f in factors]
-    invs = [f.inv for f in factors]
-
-    def vmul(a, b):
-        return tuple(m(x, y) for m, x, y in zip(muls, a, b))
-
-    def vinv(a):
-        return tuple(m(x) for m, x in zip(invs, a))
+    mul, inv, encode = mixed_radix(factors)
 
     def labeler(a):
         return "(" + ", ".join(f.label(x) for f, x in zip(factors, a)) + ")"
@@ -612,7 +666,8 @@ def direct_product_many(factors, name=None, closure_cap=CLOSURE_CAP):
             gens.append(tuple(t))
     if name is None:
         name = " x ".join(f.name for f in factors)
-    P = Group(values, vmul, vinv, labeler, name=name, kind="product")
+    P = Group(values, mul, inv, labeler, name=name, kind="product",
+              encode=encode)
     P.generators = tuple(P.index_of(t) for t in gens)
     P.factors = tuple(factors)
     return P
@@ -655,13 +710,29 @@ def semidirect_product(N, H, act, name=None, validate=True,
     if total > closure_cap:
         raise CapExceeded(f"semidirect order {total} exceeds cap {closure_cap}")
     app = act.apply
+    nmul, ninv, hmul, hinv = N.mul, N.inv, H.mul, H.inv
+    nh = H.order
 
-    def vmul(a, b):
-        return (N.mul(app(a[0], b[1]), b[0]), H.mul(a[1], b[1]))
+    # the value (n, h) sits at index n * |H| + h; identity parts (index 0)
+    # need no factor product and act trivially
+    def mul(i, j):
+        n1, h1 = i // nh, i % nh
+        n2, h2 = j // nh, j % nh
+        if h2:
+            if n1:
+                n1 = app(n1, h2)
+            h1 = hmul(h1, h2) if h1 else h2
+        if n2:
+            n1 = nmul(n1, n2) if n1 else n2
+        return n1 * nh + h1
 
-    def vinv(a):
-        hi = H.inv(a[1])
-        return (app(N.inv(a[0]), hi), hi)
+    def inv(i):
+        n, h = divmod(i, nh)
+        hi = hinv(h)
+        return app(ninv(n), hi) * nh + hi
+
+    def encode(v):
+        return v[0] * nh + v[1]
 
     def labeler(a):
         return f"({N.label(a[0])}; {H.label(a[1])})"
@@ -669,7 +740,8 @@ def semidirect_product(N, H, act, name=None, validate=True,
     values = itertools.product(range(N.order), range(H.order))
     if name is None:
         name = f"{N.name} x| {H.name}"
-    W = Group(values, vmul, vinv, labeler, name=name, kind="semidirect")
+    W = Group(values, mul, inv, labeler, name=name, kind="semidirect",
+              encode=encode)
     gens = [(g, 0) for g in N.generators] + [(0, g) for g in H.generators]
     W.generators = tuple(W.index_of(v) for v in gens)
     W.factors = (N, H)
@@ -698,27 +770,46 @@ def quotient(G, N, name=None):
     cached = G._cache.get(key)
     if cached is not None:
         return cached
-    n = G.order
     reps, rep_of = left_coset_reps(G, N)
     pos = {r: k for k, r in enumerate(reps)}
+    coset = tuple(pos[r] for r in rep_of)
+    gmul, ginv = G.mul, G.inv
 
-    def vmul(a, b):
-        return rep_of[G.mul(a, b)]
+    def mul(a, b):
+        return coset[gmul(reps[a], reps[b])]
 
-    def vinv(a):
-        return rep_of[G.inv(a)]
+    def inv(a):
+        return coset[ginv(reps[a])]
 
     def labeler(a):
         return f"[{G.label(a)}]"
 
     if name is None:
         name = f"{G.name}/N{N.order}"
-    Q = Group(reps, vmul, vinv, labeler, name=name, kind="quotient")
+    Q = Group(reps, mul, inv, labeler, name=name, kind="quotient",
+              encode=pos.__getitem__)
     Q.generators = tuple(dict.fromkeys(
-        pos[rep_of[g]] for g in G.generators if rep_of[g] != 0))
-    hom = Homomorphism(G, Q, [pos[rep_of[i]] for i in range(n)])
+        coset[g] for g in G.generators if coset[g] != 0))
+    hom = Homomorphism(G, Q, coset)
     G._cache[key] = (Q, hom)
     return Q, hom
+
+
+def local_quotient(a, b, host=None, normal=True):
+    """Quotient a/b of subgroups b <= a of one group, taken in a materialized a.
+
+    host is a group whose index k stands for a.members[k]: a.as_group() by
+    default, or a term group materialized along a chain. b is re-indexed
+    inside host with the given normality flag. Returns (Q, pi), or None
+    when normal is None and b turns out not to be normal in a.
+    """
+    if host is None:
+        host = a.as_group()
+    pos = {p: k for k, p in enumerate(a.members)}
+    local = Subgroup(host, [pos[x] for x in b.members], normal=normal)
+    if not local.verify_normal():
+        return None
+    return quotient(host, local)
 
 
 def fiber_product(alpha, beta, closure_cap=CLOSURE_CAP):

@@ -18,6 +18,7 @@ from .core import (
     generate_group,
     is_abelian,
     is_isomorphic,
+    local_quotient,
     quotient,
     subgroup_derived,
     trivial_subgroup,
@@ -537,15 +538,6 @@ def _lie_type_proxy(Q, ell, max_classes=LATTICE_CLASS_CAP):
     return True, note
 
 
-def _quotient_of_subgroups(big: Subgroup, small: Subgroup):
-    """Quotient big/small computed in the materialized big."""
-    B = big.as_group()
-    pos = {p: i for i, p in enumerate(big.members)}
-    local = Subgroup(B, [pos[x] for x in small.members], normal=True)
-    Q, _ = quotient(B, local)
-    return Q
-
-
 def validate_lp(Lam, ell, J, filt: LPFiltration,
                 max_classes=LATTICE_CLASS_CAP):
     """Check the four filtration conditions; per-condition report included."""
@@ -563,7 +555,7 @@ def validate_lp(Lam, ell, J, filt: LPFiltration,
         conditions["lie_layer"] = True
         notes.append("lambda1 = lambda2")
     else:
-        Q = _quotient_of_subgroups(filt.lambda1, filt.lambda2)
+        Q, _ = local_quotient(filt.lambda1, filt.lambda2)
         ok, why = _lie_type_proxy(Q, ell, max_classes=max_classes)
         conditions["lie_layer"] = ok
         notes.extend(why)

@@ -31,6 +31,7 @@ from .core import (
     full_subgroup,
     identity_hom,
     is_abelian,
+    local_quotient,
     quotient,
     subgroup_derived,
 )
@@ -205,10 +206,7 @@ def derived_length(G):
 
 def _abelian_factor(a, b):
     """Descriptor of the abelian factor a/b (b normal in a)."""
-    Ha = a.as_group()
-    pos = {p: i for i, p in enumerate(a.members)}
-    Nb = Subgroup(Ha, [pos[x] for x in b.members], normal=True)
-    Q, _ = quotient(Ha, Nb)
+    Q, _ = local_quotient(a, b)
     inv = abelian_invariants(full_subgroup(Q)) if Q.order > 1 else ()
     return FactorDescriptor(order=Q.order, abelian_invariants=inv,
                             simple_orders=())
@@ -300,8 +298,9 @@ def generalized_derived_series(G, max_classes=LATTICE_CLASS_CAP, max_terms=None)
         mat = d_local.as_group()
         groups.append(mat)
         to_parent.append(mat.parent_indices)
-    factors = [_generalized_factor(groups[i], terms[i], terms[i + 1])
-               for i in range(len(terms) - 1)]
+    factors = [factor_descriptor_of(
+        local_quotient(terms[i], terms[i + 1], host=groups[i])[0])
+        for i in range(len(terms) - 1)]
     terminates = terms[-1].order == 1
     report = SeriesReport(G, tuple(terms), tuple(factors),
                           length=len(terms) - 1, terminates=terminates)
@@ -316,15 +315,6 @@ def _translate_up(members, to_parent):
     for mapping in reversed(to_parent[1:]):
         out = tuple(mapping[i] for i in out)
     return tuple(sorted(out))
-
-
-def _generalized_factor(term_group, term_sub, next_sub):
-    """Factor structure of term/next inside the materialized term group."""
-    pos = {p: i for i, p in enumerate(term_sub.members)}
-    local_next = Subgroup(term_group, [pos[x] for x in next_sub.members],
-                          normal=True)
-    Q, _ = quotient(term_group, local_next)
-    return factor_descriptor_of(Q)
 
 
 def abelian_simple_length(G, max_classes=LATTICE_CLASS_CAP):
@@ -407,11 +397,7 @@ def subnormal_certificate(G, max_classes=LATTICE_CLASS_CAP):
     # rebuild the materialization chain to split factors locally
     for i in range(len(base.terms) - 1):
         cur_sub, next_sub = base.terms[i], base.terms[i + 1]
-        term_group = groups[-1]
-        pos = {p: k for k, p in enumerate(cur_sub.members)}
-        local_next = Subgroup(term_group, [pos[x] for x in next_sub.members],
-                              normal=True)
-        Q, pi = quotient(term_group, local_next)
+        Q, pi = local_quotient(cur_sub, next_sub, host=groups[-1])
         desc = factor_descriptor_of(Q, max_classes=max_classes)
         if desc.kind == "mixed":
             zq = center(Q)
@@ -432,7 +418,7 @@ def subnormal_certificate(G, max_classes=LATTICE_CLASS_CAP):
             terms.append(next_sub)
             factors.append(desc)
         if next_sub.order > 1:
-            mat = local_next.as_group()
+            mat = pi.kernel().as_group()
             groups.append(mat)
             to_parent.append(mat.parent_indices)
     return SeriesReport(G, tuple(terms), tuple(factors),
@@ -449,12 +435,11 @@ def verify_certificate(report):
         a, b = terms[i], terms[i + 1]
         if not b.member_set < a.member_set:
             return False
-        Ha = a.as_group()
-        pos = {p: k for k, p in enumerate(a.members)}
-        Nb = Subgroup(Ha, [pos[x] for x in b.members])
-        if not Nb.verify_normal():
+        # b's normality in a is checked, not assumed
+        local = local_quotient(a, b, normal=None)
+        if local is None:
             return False
-        Q, _ = quotient(Ha, Nb)
+        Q, _ = local
         if Q.order != desc.order:
             return False
         if desc.kind in ("abelian", "trivial"):

@@ -7,9 +7,17 @@ element index of each coset, sorted ascending, which puts the identity coset
 first; f is stored as the tuple of A-indices at those representatives, the
 unique compact faithful model of the function.
 
-G acts on the induced group from the right by f^s(t) = f(s*t); the twisted
-wreath product is the semidirect product (induced group) x| G under this
-action, with the semidirect convention from the core module.
+The induced group multiplies on indices: digit k of an index (weight
+|A|^(m-1-k), the big-endian order of itertools.product) is the A-index at
+representative k, and products and inverses are taken digit by digit in A.
+
+G acts on the induced group from the right by f^s(t) = f(s*t). Writing
+s*r_i = r_j * t with t in G0 gives f^s(r_i) = f(r_j)^t, so the action is
+tabulated once per (s, i) as the digit j to read and the G0-element t to
+apply (none when G0 acts trivially), and f^s is assembled from the digits of
+f's index without building a tuple. The twisted wreath product is the
+semidirect product (induced group) x| G under this action, with the
+semidirect convention from the core module.
 """
 
 from __future__ import annotations
@@ -25,6 +33,7 @@ from .core import (
     Subgroup,
     full_subgroup,
     left_coset_reps,
+    mixed_radix,
     quotient,
     semidirect_product,
     trivial_subgroup,
@@ -55,55 +64,44 @@ def induced_group(A, G, G0: Subgroup, act: GroupAction = None,
             f"|A|^[G:G0] = {A.order ** m} exceeds cap {closure_cap}")
     g0_pos = {p: i for i, p in enumerate(G0.members)}
     rep_pos = {r: i for i, r in enumerate(reps)}
-    # decomposition s*r_i = r_j * t with t in G0, tabulated per (s, i)
+    app = act.apply
+    trivial = all(app(a, t) == a for a in range(A.order)
+                  for t in range(G0_group.order))
+    na = A.order
+    # itertools.product enumerates big-endian: digit k has weight |A|^(m-1-k)
+    powers = [na ** (m - 1 - k) for k in range(m)]
+    # f^s(r_i) = f(s*r_i) = f(r_j)^t for s*r_i = r_j * t with t in G0,
+    # tabulated per (s, i) as (weight of digit j, G0-index of t or 0 when
+    # the action is trivial, weight of digit i)
     dec = []
     for s in range(G.order):
         row = []
         for i in range(m):
             sri = G.mul(s, reps[i])
             rj = rep_of[sri]
-            t = G.mul(G.inv(rj), sri)
-            row.append((rep_pos[rj], g0_pos[t]))
+            t = 0 if trivial else g0_pos[G.mul(G.inv(rj), sri)]
+            row.append((powers[rep_pos[rj]], t, powers[i]))
         dec.append(tuple(row))
-
-    def vmul(f1, f2):
-        return tuple(A.mul(a, b) for a, b in zip(f1, f2))
-
-    def vinv(f):
-        return tuple(A.inv(a) for a in f)
+    # as a group, Ind is A^m with the same numbering
+    mul, inv, encode = mixed_radix([A] * m)
 
     def labeler(f):
         return "[" + ", ".join(A.label(a) for a in f) + "]"
 
-    values = itertools.product(range(A.order), repeat=m)
-    Ind = Group(values, vmul, vinv, labeler,
-                name=f"Ind[{A.name}; {G.name}/{m}]", kind="induced")
-    gens = []
-    for i in range(m):
-        for g in A.generators:
-            f = [0] * m
-            f[i] = g
-            gens.append(Ind.index_of(tuple(f)))
-    Ind.generators = gens
-    app = act.apply
-    trivial = all(app(a, t) == a for a in range(A.order)
-                  for t in range(G0_group.order))
+    values = itertools.product(range(na), repeat=m)
+    Ind = Group(values, mul, inv, labeler,
+                name=f"Ind[{A.name}; {G.name}/{m}]", kind="induced",
+                encode=encode)
+    Ind.generators = [g * p for p in powers for g in A.generators]
 
-    def ind_index(f):
-        n = 0
-        for a in f:
-            n = n * A.order + a
-        return n
-
-    # itertools.product enumerates big-endian, so the index is positional
     def g_apply(f_idx, s):
-        f = Ind.value(f_idx)
-        row = dec[s]
-        if trivial:
-            moved = tuple(f[j] for j, _ in row)
-        else:
-            moved = tuple(f[j] if t == 0 else app(f[j], t) for j, t in row)
-        return ind_index(moved)
+        r = 0
+        for src, t, dst in dec[s]:
+            a = f_idx // src % na
+            if t:
+                a = app(a, t)
+            r += a * dst
+        return r
 
     g_action = GroupAction(G, Ind, g_apply)
     Ind.structure = {"induced": True, "reps": tuple(reps), "m": m,
