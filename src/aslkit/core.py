@@ -24,7 +24,6 @@ Conventions, used consistently everywhere:
 from __future__ import annotations
 
 import itertools
-import random
 import re
 
 from .errors import (
@@ -37,12 +36,6 @@ from .errors import (
 )
 
 CLOSURE_CAP = 100000
-
-# Associativity policy of check_group_axioms: exhaustive up to this order,
-# sampled beyond it.
-EXHAUSTIVE_ORDER = 512
-SAMPLE_COUNT = 10000
-SAMPLE_SEED = 0
 
 
 class Group:
@@ -489,12 +482,6 @@ def is_abelian(G):
     return flag
 
 
-def subgroup_is_abelian(H):
-    G = H.parent
-    gens = H.gens()
-    return all(G.mul(a, b) == G.mul(b, a) for a in gens for b in gens)
-
-
 # -- homomorphisms -------------------------------------------------------------
 
 
@@ -546,13 +533,6 @@ class Homomorphism:
             return False
         return all(m[G.mul(x, g)] == H.mul(m[x], m[g])
                    for g in G.generators for x in range(G.order))
-
-
-def hom_from_map(source, target, mapping, validate=True):
-    h = Homomorphism(source, target, mapping)
-    if validate and not h.validate():
-        raise ValueError("mapping is not a homomorphism")
-    return h
 
 
 def identity_hom(G):
@@ -795,18 +775,20 @@ def quotient(G, N, name=None):
     return Q, hom
 
 
-def local_quotient(a, b, host=None, normal=True):
-    """Quotient a/b of subgroups b <= a of one group, taken in a materialized a.
+def local_quotient(a, b, normal=True):
+    """Quotient a/b of subgroups b <= a of one group, taken in a's host.
 
-    host is a group whose index k stands for a.members[k]: a.as_group() by
-    default, or a term group materialized along a chain. b is re-indexed
-    inside host with the given normality flag. Returns (Q, pi), or None
+    The host is the parent itself when a is all of it, and a.as_group()
+    otherwise, whose index k stands for a.members[k]. b is re-indexed
+    inside the host with the given normality flag. Returns (Q, pi), or None
     when normal is None and b turns out not to be normal in a.
     """
-    if host is None:
+    if a.is_full():
+        host, members = a.parent, b.members
+    else:
         host = a.as_group()
-    pos = {p: k for k, p in enumerate(a.members)}
-    local = Subgroup(host, [pos[x] for x in b.members], normal=normal)
+        members = map(host.index_of, b.members)
+    local = Subgroup(host, members, normal=normal)
     if not local.verify_normal():
         return None
     return quotient(host, local)
@@ -934,30 +916,33 @@ def group_from_perm_generators(degree, generators, name=None,
 # -- validation and isomorphism -----------------------------------------------------
 
 
-def check_group_axioms(G, exhaustive_order=EXHAUSTIVE_ORDER,
-                       samples=SAMPLE_COUNT, seed=SAMPLE_SEED):
+def check_group_axioms(G):
     """Closure, identity, inverse, associativity, generation.
 
-    Associativity is exhaustive up to `exhaustive_order`, sampled beyond.
-    Returns a list of problem strings; empty means all checks passed.
+    Associativity is exact by Light's test: (x*g)*y = x*(g*y) for every x,
+    y and generator g. The elements a with (x*a)*y = x*(a*y) for all x and
+    y are closed under products, and the generation check reaches every
+    element by right products from the identity, so the generators'
+    passing makes every triple associative. Costs 2 * |G|^2 products per
+    generator. Returns a list of problem strings; empty means all checks
+    passed.
     """
     problems = []
+    mul = G.mul
     n = G.order
     for i in range(n):
-        if G.mul(0, i) != i or G.mul(i, 0) != i:
+        if mul(0, i) != i or mul(i, 0) != i:
             problems.append(f"identity law fails at {i}")
-        if G.mul(i, G.inv(i)) != 0 or G.mul(G.inv(i), i) != 0:
+        if mul(i, G.inv(i)) != 0 or mul(G.inv(i), i) != 0:
             problems.append(f"inverse law fails at {i}")
-    if n <= exhaustive_order:
-        triples = ((i, j, k) for i in range(n) for j in range(n)
-                   for k in range(n))
-    else:
-        rng = random.Random(seed)
-        triples = ((rng.randrange(n), rng.randrange(n), rng.randrange(n))
-                   for _ in range(samples))
-    for i, j, k in triples:
-        if G.mul(G.mul(i, j), k) != G.mul(i, G.mul(j, k)):
-            problems.append(f"associativity fails at ({i},{j},{k})")
+    for g in G.generators:
+        xg = [mul(x, g) for x in range(n)]
+        gy = [mul(g, y) for y in range(n)]
+        bad = next(((x, y) for x in range(n) for y in range(n)
+                    if mul(xg[x], y) != mul(x, gy[y])), None)
+        if bad is not None:
+            x, y = bad
+            problems.append(f"associativity fails at ({x},{g},{y})")
             break
     if len(subgroup_closure(G, G.generators)) != n:
         problems.append("generators do not generate the group")

@@ -16,7 +16,6 @@ from .core import (
     Subgroup,
     Homomorphism,
     generate_group,
-    is_abelian,
     is_isomorphic,
     local_quotient,
     quotient,
@@ -33,10 +32,9 @@ from .errors import (
 )
 from .families import alternating_group
 from .normal import (
-    LATTICE_CLASS_CAP,
     _is_prime,
     all_normal_subgroups,
-    is_simple,
+    simple_factor_orders,
 )
 from .series import abelian_simple_length
 
@@ -497,7 +495,7 @@ class LPValidation:
         return self.ok
 
 
-def _lie_type_proxy(Q, ell, max_classes=LATTICE_CLASS_CAP):
+def _lie_type_proxy(Q, ell):
     """Proxy recognition of 'direct product of simple groups of Lie type in
     characteristic ell'.
 
@@ -518,28 +516,18 @@ def _lie_type_proxy(Q, ell, max_classes=LATTICE_CLASS_CAP):
     der = commutator_subgroup(Q)
     if der.order != Q.order:
         return False, ("not perfect",)
-    lat = all_normal_subgroups(Q, max_classes=max_classes)
-    nontrivial = [s for s in lat if s.order > 1]
-    minimal = [s for s in nontrivial
-               if not any(t.order > 1 and t.member_set < s.member_set
-                          for t in nontrivial)]
-    prod = 1
-    for s in minimal:
-        Sg = s.as_group()
-        if is_abelian(Sg) or not is_simple(Sg):
-            return False, (f"minimal normal of order {s.order} not simple",)
-        if s.order % ell != 0:
-            return False, (f"simple factor order {s.order} coprime to {ell}",)
-        prod *= s.order
-    if prod != Q.order:
-        return False, ("minimal normals do not fill the group",)
+    orders = simple_factor_orders(Q)
+    if orders is None:
+        return False, ("not a direct product of nonabelian simple groups",)
+    for n in orders:
+        if n % ell != 0:
+            return False, (f"simple factor order {n} coprime to {ell}",)
     note = ("proxy: factors checked as nonabelian simple with order "
             f"divisible by {ell}",)
     return True, note
 
 
-def validate_lp(Lam, ell, J, filt: LPFiltration,
-                max_classes=LATTICE_CLASS_CAP):
+def validate_lp(Lam, ell, J, filt: LPFiltration):
     """Check the four filtration conditions; per-condition report included."""
     for sub in (filt.lambda1, filt.lambda2, filt.lambda3):
         if sub.parent is not Lam:
@@ -556,7 +544,7 @@ def validate_lp(Lam, ell, J, filt: LPFiltration,
         notes.append("lambda1 = lambda2")
     else:
         Q, _ = local_quotient(filt.lambda1, filt.lambda2)
-        ok, why = _lie_type_proxy(Q, ell, max_classes=max_classes)
+        ok, why = _lie_type_proxy(Q, ell)
         conditions["lie_layer"] = ok
         notes.extend(why)
     der = subgroup_derived(filt.lambda2)
@@ -570,13 +558,13 @@ def validate_lp(Lam, ell, J, filt: LPFiltration,
     return LPValidation(ok, conditions, tuple(notes))
 
 
-def search_lp(Lam, ell, J, max_classes=LATTICE_CLASS_CAP):
+def search_lp(Lam, ell, J):
     """Exhaustive search over normal-lattice chains for a valid filtration.
 
     Deterministic choice: maximize |lambda1|, then minimize |lambda3|, then
     minimize |lambda2|; ties break on the sorted member tuples.
     """
-    lat = list(all_normal_subgroups(Lam, max_classes=max_classes))
+    lat = list(all_normal_subgroups(Lam))
     by_l1 = sorted(lat, key=lambda s: (-s.order, s.members))
     by_small = sorted(lat, key=lambda s: (s.order, s.members))
     for l1 in by_l1:
@@ -590,8 +578,7 @@ def search_lp(Lam, ell, J, max_classes=LATTICE_CLASS_CAP):
                         and l2.member_set <= l1.member_set):
                     continue
                 filt = LPFiltration(l1, l2, l3)
-                report = validate_lp(Lam, ell, J, filt,
-                                     max_classes=max_classes)
+                report = validate_lp(Lam, ell, J, filt)
                 if report.ok:
                     filt.certificates = {"conditions": report.conditions,
                                          "notes": report.notes}
@@ -600,7 +587,6 @@ def search_lp(Lam, ell, J, max_classes=LATTICE_CLASS_CAP):
 
 
 def corollary_decomposition(Lambda: Subgroup, ell, J,
-                            max_classes=LATTICE_CLASS_CAP,
                             closure_cap=CLOSURE_CAP):
     """Normal ell-subgroup N of Lambda with l(Lambda/N) <= log2(J) + 2.
 
@@ -636,7 +622,7 @@ def corollary_decomposition(Lambda: Subgroup, ell, J,
                              closure_cap=closure_cap, kind="matrix")
         mapping = [bar.index_of(reduced(i)) for i in range(L.order)]
         to_bar = Homomorphism(L, bar, mapping)
-    filt = search_lp(bar, ell, J, max_classes=max_classes)
+    filt = search_lp(bar, ell, J)
     if filt is None:
         raise SearchFailed(
             f"no Larsen-Pink filtration for {bar.name} with J = {J}; "
@@ -646,7 +632,7 @@ def corollary_decomposition(Lambda: Subgroup, ell, J,
     if not is_l_group(N.as_group(), ell):
         raise PropositionViolated("N is not an ell-group")
     Q, _ = quotient(L, N)
-    length = abelian_simple_length(Q, max_classes=max_classes)
+    length = abelian_simple_length(Q)
     bound = math.log2(J) + 2
     if length > bound + 1e-9:
         raise PropositionViolated(

@@ -177,11 +177,11 @@ def all_normal_subgroups(G, max_classes=LATTICE_CLASS_CAP):
     return lat
 
 
-def maximal_normal_subgroups(G, max_classes=LATTICE_CLASS_CAP):
+def maximal_normal_subgroups(G):
     """Proper normal subgroups maximal under inclusion."""
     if G.order == 1:
         raise TrivialGroup("the trivial group has no proper subgroup")
-    return all_normal_subgroups(G, max_classes=max_classes).maximal_proper()
+    return all_normal_subgroups(G).maximal_proper()
 
 
 def is_simple(G):
@@ -209,13 +209,32 @@ def is_simple(G):
     return flag
 
 
+def simple_factor_orders(G):
+    """Sorted orders of the minimal normal subgroups of G if each of them is
+    nonabelian simple and their orders multiply out to |G|, else None.
+
+    Such subgroups commute pairwise and meet trivially, so G is then their
+    internal direct product.
+    """
+    nontrivial = [s for s in all_normal_subgroups(G) if s.order > 1]
+    minimal = [s for s in nontrivial
+               if not any(t.member_set < s.member_set for t in nontrivial)]
+    for s in minimal:
+        S = s.as_group()
+        if is_abelian(S) or not is_simple(S):
+            return None
+    if math.prod(s.order for s in minimal) != G.order:
+        return None
+    return tuple(sorted(s.order for s in minimal))
+
+
 def _is_prime(n):
     return n > 1 and all(n % d for d in range(2, math.isqrt(n) + 1))
 
 
-def melnikov_subgroup(G, max_classes=LATTICE_CLASS_CAP):
+def melnikov_subgroup(G):
     """Intersection of all maximal normal subgroups."""
-    maxn = maximal_normal_subgroups(G, max_classes=max_classes)
+    maxn = maximal_normal_subgroups(G)
     out = full_subgroup(G)
     for s in maxn:
         out = out.intersect(s)
@@ -304,7 +323,7 @@ def solvable_radical(G):
 # -- product decomposition ------------------------------------------------------
 
 
-def product_normal_decomposition(A, simples, N, max_classes=LATTICE_CLASS_CAP):
+def product_normal_decomposition(A, simples, N):
     """Split a normal subgroup of A x S_1 x ... x S_k along the factors.
 
     A must be abelian and every S_i nonabelian simple; then every normal N

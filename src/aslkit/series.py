@@ -6,6 +6,15 @@ D0(G) intersects the maximal normal subgroups with nonabelian quotient.
 Iterating D gives the series G >= D(G) >= D(D(G)) >= ... and the length is
 the number of steps down to the identity.
 
+The series is one chain of Subgroups of G. Term 0 is G itself; D of every
+later term is computed in `term.as_group()`, a materialized subgroup one
+level deep whose products are products in G, and its members map back to
+G through the term's own member list. Each step's factor is read from the
+quotient `local_quotient(term, next)`, which stays cached on the term's
+group, so `subnormal_certificate` reuses the report's terms, factors and
+step quotients instead of building a second chain. The ordinary derived
+series shares the factor loop.
+
 D0 is computed through the solvable radical R: every maximal normal subgroup
 with nonabelian (simple) quotient contains R, because the image of a solvable
 normal subgroup in a nonabelian simple quotient is trivial. Working in G/R
@@ -37,9 +46,8 @@ from .core import (
 )
 from .errors import DecompositionFailed
 from .normal import (
-    LATTICE_CLASS_CAP,
     all_normal_subgroups,
-    is_simple,
+    simple_factor_orders,
     solvable_radical,
 )
 
@@ -189,33 +197,23 @@ def derived_series(G):
         terms.append(nxt)
         if nxt.order == 1:
             break
-    factors = []
-    for a, b in zip(terms, terms[1:]):
-        factors.append(_abelian_factor(a, b))
-    terminates = terms[-1].order == 1
+    return _report(G, terms)
+
+
+def _report(G, terms):
+    """SeriesReport of a descending chain of normal Subgroups of G, with
+    each step described from its quotient."""
+    factors = [factor_descriptor_of(local_quotient(a, b)[0])
+               for a, b in zip(terms, terms[1:])]
     return SeriesReport(G, tuple(terms), tuple(factors),
-                        length=len(terms) - 1, terminates=terminates)
-
-
-def derived_length(G):
-    rep = derived_series(G)
-    if not rep.terminates:
-        raise ValueError(f"{G.name} is not solvable")
-    return rep.length
-
-
-def _abelian_factor(a, b):
-    """Descriptor of the abelian factor a/b (b normal in a)."""
-    Q, _ = local_quotient(a, b)
-    inv = abelian_invariants(full_subgroup(Q)) if Q.order > 1 else ()
-    return FactorDescriptor(order=Q.order, abelian_invariants=inv,
-                            simple_orders=())
+                        length=len(terms) - 1,
+                        terminates=terms[-1].order == 1)
 
 
 # -- generalized derived subgroup -------------------------------------------------
 
 
-def d0_subgroup(G, max_classes=LATTICE_CLASS_CAP):
+def d0_subgroup(G):
     """Intersection of maximal normal subgroups with nonabelian quotient.
 
     Equals G when no nonabelian simple quotient exists (empty intersection
@@ -239,7 +237,7 @@ def d0_subgroup(G, max_classes=LATTICE_CLASS_CAP):
     else:
         Q, pi = quotient(G, rad)
     gprime_q = commutator_subgroup(Q)
-    maxn = all_normal_subgroups(Q, max_classes=max_classes).maximal_proper()
+    maxn = all_normal_subgroups(Q).maximal_proper()
     keep = [m for m in maxn if not gprime_q.member_set <= m.member_set]
     if not keep:
         out = full_subgroup(G)
@@ -253,13 +251,13 @@ def d0_subgroup(G, max_classes=LATTICE_CLASS_CAP):
     return out
 
 
-def generalized_derived_subgroup(G, max_classes=LATTICE_CLASS_CAP):
+def generalized_derived_subgroup(G):
     """D(G) = D0(G) n G'; also the intersection of all normal subgroups
     with abelian-or-simple quotient (cross-checked by the oracle suite)."""
     cached = G._cache.get("gds")
     if cached is not None:
         return cached
-    d0 = d0_subgroup(G, max_classes=max_classes)
+    d0 = d0_subgroup(G)
     gp = commutator_subgroup(G)
     out = d0.intersect(gp)
     out.normal = True
@@ -267,61 +265,43 @@ def generalized_derived_subgroup(G, max_classes=LATTICE_CLASS_CAP):
     return out
 
 
-def generalized_derived_series(G, max_classes=LATTICE_CLASS_CAP, max_terms=None):
+def generalized_derived_series(G, max_terms=None):
     """Iterate D until the identity; length field is the abelian-simple length.
 
-    max_terms truncates the chain early (used by witness searches that only
-    need the first few terms); truncated reports have terminates=False.
+    Every term is a Subgroup of G, and D of a term is computed in G for the
+    first step and in the term's own `as_group()` after that, whose index k
+    stands for the term's k-th member. max_terms truncates the chain early
+    (used by witness searches that only need the first few terms);
+    truncated reports have terminates=False.
     """
-    cache_key = ("gds_series", max_classes)
     if max_terms is None:
-        cached = G._cache.get(cache_key)
+        cached = G._cache.get("gds_series")
         if cached is not None:
             return cached
     terms = [full_subgroup(G)]
-    groups = [G]          # materialized term groups, parallel to terms
-    to_parent = [None]    # member translation maps
     while terms[-1].order > 1:
         if max_terms is not None and len(terms) > max_terms:
             break
-        cur_group = groups[-1]
-        d_local = generalized_derived_subgroup(cur_group, max_classes=max_classes)
-        # translate members back into indices of G
-        members = _translate_up(d_local.members, to_parent)
-        sub = Subgroup(G, members, normal=True)
-        if sub.order == terms[-1].order:
+        cur = terms[-1]
+        d = generalized_derived_subgroup(cur.as_group() if len(terms) > 1
+                                         else G)
+        if d.order == cur.order:
             raise DecompositionFailed(
                 f"generalized derived series stalled on {G.name}")
-        terms.append(sub)
-        if sub.order == 1:
-            break
-        mat = d_local.as_group()
-        groups.append(mat)
-        to_parent.append(mat.parent_indices)
-    factors = [factor_descriptor_of(
-        local_quotient(terms[i], terms[i + 1], host=groups[i])[0])
-        for i in range(len(terms) - 1)]
-    terminates = terms[-1].order == 1
-    report = SeriesReport(G, tuple(terms), tuple(factors),
-                          length=len(terms) - 1, terminates=terminates)
+        # D(term) is characteristic in the term, hence normal in G
+        terms.append(Subgroup(G, [cur.members[k] for k in d.members],
+                              normal=True))
+    report = _report(G, terms)
     if max_terms is None:
-        G._cache[cache_key] = report
+        G._cache["gds_series"] = report
     return report
 
 
-def _translate_up(members, to_parent):
-    """Map locally-indexed members through the materialization chain."""
-    out = members
-    for mapping in reversed(to_parent[1:]):
-        out = tuple(mapping[i] for i in out)
-    return tuple(sorted(out))
-
-
-def abelian_simple_length(G, max_classes=LATTICE_CLASS_CAP):
+def abelian_simple_length(G):
     """Number of generalized-derived steps from G down to the identity."""
     cached = G._cache.get("asl")
     if cached is None:
-        cached = generalized_derived_series(G, max_classes=max_classes).length
+        cached = generalized_derived_series(G).length
         G._cache["asl"] = cached
     return cached
 
@@ -329,13 +309,13 @@ def abelian_simple_length(G, max_classes=LATTICE_CLASS_CAP):
 # -- factor structure --------------------------------------------------------------
 
 
-def factor_descriptor_of(Q, max_classes=LATTICE_CLASS_CAP):
+def factor_descriptor_of(Q):
     """Decompose a group with trivial D as (abelian) x (nonabelian simples).
 
-    The abelian part is the center, the semisimple part is the derived
-    subgroup, and the simple factors are the minimal nontrivial members of
-    the derived subgroup's normal lattice; the internal direct product is
-    verified on orders and pairwise intersections.
+    The abelian part is the center and the semisimple part is the derived
+    subgroup, whose simple factors are its minimal normal subgroups
+    (`normal.simple_factor_orders`); the internal direct product of the two
+    parts is verified on orders and intersection.
     """
     if Q.order == 1:
         return FactorDescriptor(order=1, abelian_invariants=(),
@@ -347,80 +327,55 @@ def factor_descriptor_of(Q, max_classes=LATTICE_CLASS_CAP):
         raise DecompositionFailed(
             f"{Q.name} is not (abelian) x (semisimple)")
     inv = abelian_invariants(z) if z.order > 1 else ()
-    simple_orders = []
+    simple_orders = ()
     if der.order > 1:
-        D = der.as_group()
-        lat = all_normal_subgroups(D, max_classes=max_classes)
-        nontrivial = [s for s in lat if s.order > 1]
-        minimal = [s for s in nontrivial
-                   if not any(t.order > 1 and t.member_set < s.member_set
-                              for t in nontrivial)]
-        prod = 1
-        for s in minimal:
-            Sg = s.as_group()
-            if is_abelian(Sg) or not is_simple(Sg):
-                raise DecompositionFailed(
-                    f"minimal normal factor of order {s.order} is not "
-                    "nonabelian simple")
-            prod *= s.order
-            simple_orders.append(s.order)
-        if prod != der.order:
-            raise DecompositionFailed("simple factors do not fill the "
-                                      "semisimple part")
+        simple_orders = simple_factor_orders(der.as_group())
+        if simple_orders is None:
+            raise DecompositionFailed(
+                f"{Q.name}: the derived subgroup is not a direct product "
+                "of nonabelian simple groups")
     return FactorDescriptor(order=Q.order, abelian_invariants=inv,
-                            simple_orders=tuple(sorted(simple_orders)))
+                            simple_orders=simple_orders)
 
 
-def factor_structure(G, max_classes=LATTICE_CLASS_CAP):
+def factor_structure(G):
     """Structure of G/D(G): abelian invariant factors x simple factor orders."""
-    d = generalized_derived_subgroup(G, max_classes=max_classes)
+    d = generalized_derived_subgroup(G)
     Q, _ = quotient(G, d)
-    return factor_descriptor_of(Q, max_classes=max_classes)
+    return factor_descriptor_of(Q)
 
 
 # -- refined subnormal certificate ----------------------------------------------------
 
 
-def subnormal_certificate(G, max_classes=LATTICE_CLASS_CAP):
+def subnormal_certificate(G):
     """Refine the generalized derived series into purely-typed factors.
 
     Every D-step factor is (abelian) x (semisimple); when both parts are
     present the step splits in two, with the semisimple factor on top:
     term >= (preimage of the abelian part) >= next. Each reported factor is
-    then purely abelian or purely a product of nonabelian simples.
+    then purely abelian or purely a product of nonabelian simples. The
+    terms and factors are the series report's; a mixed step reads the
+    center of the step quotient the report already built.
     """
-    base = generalized_derived_series(G, max_classes=max_classes)
+    base = generalized_derived_series(G)
     terms = [base.terms[0]]
     factors = []
-    groups = [G]
-    to_parent = [None]
-    # rebuild the materialization chain to split factors locally
-    for i in range(len(base.terms) - 1):
-        cur_sub, next_sub = base.terms[i], base.terms[i + 1]
-        Q, pi = local_quotient(cur_sub, next_sub, host=groups[-1])
-        desc = factor_descriptor_of(Q, max_classes=max_classes)
+    for a, b, desc in zip(base.terms, base.terms[1:], base.factors):
         if desc.kind == "mixed":
+            Q, pi = local_quotient(a, b)
             zq = center(Q)
-            mid_local = pi.preimage(zq)
-            mid_members = _translate_up(mid_local.members, to_parent)
-            mid = Subgroup(G, mid_members, normal=True)
-            semis = FactorDescriptor(
+            mid = pi.preimage(zq)
+            terms.append(Subgroup(G, [a.members[k] for k in mid.members],
+                                  normal=True))
+            factors.append(FactorDescriptor(
                 order=Q.order // zq.order, abelian_invariants=(),
-                simple_orders=desc.simple_orders)
-            abel = FactorDescriptor(
+                simple_orders=desc.simple_orders))
+            desc = FactorDescriptor(
                 order=zq.order, abelian_invariants=desc.abelian_invariants,
                 simple_orders=())
-            terms.append(mid)
-            factors.append(semis)
-            terms.append(next_sub)
-            factors.append(abel)
-        else:
-            terms.append(next_sub)
-            factors.append(desc)
-        if next_sub.order > 1:
-            mat = pi.kernel().as_group()
-            groups.append(mat)
-            to_parent.append(mat.parent_indices)
+        terms.append(b)
+        factors.append(desc)
     return SeriesReport(G, tuple(terms), tuple(factors),
                         length=len(terms) - 1, terminates=base.terminates)
 

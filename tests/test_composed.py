@@ -26,7 +26,7 @@ from aslkit.errors import NotAnAction, NotAutomorphisms
 from aslkit.families import alternating_group, cyclic_group, symmetric_group
 from aslkit.fpmod import LinearAction, as_group_action
 from aslkit.normal import all_normal_subgroups
-from aslkit.series import generalized_derived_series
+from aslkit.series import SeriesReport, generalized_derived_series
 from aslkit.wreath import twisted_wreath_product
 
 SETTINGS = settings(derandomize=True, max_examples=25, deadline=None,
@@ -212,6 +212,8 @@ def _reachable_groups(root):
         seen[id(g)] = g
         found = list(getattr(g, "factors", ()))
         for v in g._cache.values():
+            if isinstance(v, SeriesReport):
+                v = v.terms
             found.extend(v if isinstance(v, tuple) else (v,))
         for x in found:
             if isinstance(x, Group):

@@ -26,8 +26,11 @@ from aslkit.core import (
     subgroup_generated,
     trivial_subgroup,
     trivial_action,
+    Group,
     GroupAction,
     Homomorphism,
+    perm_inv,
+    perm_mul,
 )
 from aslkit.errors import CapExceeded, MalformedCycle, NotNormal, NotSurjective
 from aslkit.families import (
@@ -86,6 +89,25 @@ def test_canonical_order_identity_first(s4):
 def test_axioms_on_sample_groups(s4, q8, d4):
     for g in (s4, q8, d4, cyclic_group(12), alternating_group(5)):
         assert check_group_axioms(g) == []
+
+
+def test_axioms_catch_one_wrong_product_in_s6():
+    """S6 (order 720) with the single product 5 * 7 altered: the identity
+    and inverse laws still hold, and the exact associativity test finds
+    the failure that 10000 sampled triples would almost surely miss."""
+    s6 = symmetric_group(6)
+    assert check_group_axioms(s6) == []
+    x, y = s6.value(5), s6.value(7)
+    wrong = s6.value(s6.mul(7, 5))
+    assert wrong != perm_mul(x, y)
+
+    def vmul(a, b):
+        return wrong if (a, b) == (x, y) else perm_mul(a, b)
+
+    bad = Group([s6.value(i) for i in range(s6.order)], vmul, perm_inv,
+                cycle_label, generators=s6.generators)
+    problems = check_group_axioms(bad)
+    assert problems and all("associativity" in p for p in problems)
 
 
 def test_element_orders(s4):

@@ -2,7 +2,10 @@
 
 import math
 
+from aslkit.catalog import catalog
 from aslkit.core import (
+    Group,
+    conjugacy_classes,
     direct_product,
     direct_product_many,
     full_subgroup,
@@ -14,6 +17,7 @@ from aslkit.families import (
     symmetric_group,
 )
 from aslkit.matgroups import sl_group
+from aslkit.oracle import ORACLE_CLASS_CAP, oracle_D
 from aslkit.series import (
     abelian_invariants,
     abelian_simple_length,
@@ -171,6 +175,46 @@ def test_certificate_mixed(a5):
     assert rep.factors[0].simple_orders == (60,)
     assert rep.factors[1].abelian_invariants == (2,)
     assert verify_certificate(rep)
+
+
+def test_certificate_builds_no_group_after_the_series(s4, a5, monkeypatch):
+    """The certificate reuses the report's terms, factors and step
+    quotients, so once the series is known it constructs no Group."""
+    mixed = direct_product(a5, cyclic_group(2))
+    assert [f.kind for f in generalized_derived_series(mixed).factors] == \
+        ["mixed"]
+    built = []
+    init = Group.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    for g in (s4, mixed, sl_group(2, 3)):
+        generalized_derived_series(g)
+        with monkeypatch.context() as m:
+            m.setattr(Group, "__init__", counting_init)
+            rep = subnormal_certificate(g)
+        assert built == [], g.name
+        assert verify_certificate(rep)
+
+
+def test_series_terms_match_the_oracle_chain():
+    """Every series term of every catalog group of order <= 120 is the
+    oracle's D chain lifted into G, up to the first group in the chain
+    with more classes than the oracle enumerates."""
+    steps = 0
+    for name, g in catalog(120):
+        cur, lift = g, range(g.order)
+        for term in generalized_derived_series(g).terms[1:]:
+            if len(conjugacy_classes(cur)) > ORACLE_CLASS_CAP:
+                break
+            d = oracle_D(cur)
+            assert {lift[x] for x in d.members} == term.member_set, name
+            steps += 1
+            cur = d.as_group()
+            lift = [lift[x] for x in cur.parent_indices]
+    assert steps >= 593
 
 
 def test_quotient_image_law(s4):
