@@ -255,6 +255,17 @@ class Subgroup:
             self._as_group = H
         return self._as_group
 
+    def local_group(self):
+        """The group whose index k stands for members[k]: the parent itself
+        when this subgroup is all of it, and as_group() otherwise."""
+        return self.parent if self.is_full() else self.as_group()
+
+    def lift(self, sub, normal=None):
+        """The Subgroup of the parent made of members[k] for every index k
+        of sub, a Subgroup of local_group()."""
+        return Subgroup(self.parent, [self.members[k] for k in sub.members],
+                        normal=normal)
+
     def intersect(self, other):
         assert other.parent is self.parent
         normal = True if self.normal and other.normal else None
@@ -775,23 +786,12 @@ def quotient(G, N, name=None):
     return Q, hom
 
 
-def local_quotient(a, b, normal=True):
-    """Quotient a/b of subgroups b <= a of one group, taken in a's host.
-
-    The host is the parent itself when a is all of it, and a.as_group()
-    otherwise, whose index k stands for a.members[k]. b is re-indexed
-    inside the host with the given normality flag. Returns (Q, pi), or None
-    when normal is None and b turns out not to be normal in a.
-    """
-    if a.is_full():
-        host, members = a.parent, b.members
-    else:
-        host = a.as_group()
-        members = map(host.index_of, b.members)
-    local = Subgroup(host, members, normal=normal)
-    if not local.verify_normal():
-        return None
-    return quotient(host, local)
+def local_quotient(a, b):
+    """Quotient a/b of normal subgroups b <= a of one group, taken in
+    a.local_group(), in which b is re-indexed. Returns (Q, pi)."""
+    host = a.local_group()
+    members = b.members if host is a.parent else map(host.index_of, b.members)
+    return quotient(host, Subgroup(host, members, normal=True))
 
 
 def fiber_product(alpha, beta, closure_cap=CLOSURE_CAP):

@@ -6,14 +6,16 @@ D0(G) intersects the maximal normal subgroups with nonabelian quotient.
 Iterating D gives the series G >= D(G) >= D(D(G)) >= ... and the length is
 the number of steps down to the identity.
 
-The series is one chain of Subgroups of G. Term 0 is G itself; D of every
-later term is computed in `term.as_group()`, a materialized subgroup one
-level deep whose products are products in G, and its members map back to
-G through the term's own member list. Each step's factor is read from the
-quotient `local_quotient(term, next)`, which stays cached on the term's
-group, so `subnormal_certificate` reuses the report's terms, factors and
-step quotients instead of building a second chain. The ordinary derived
-series shares the factor loop.
+The series is one chain of Subgroups of G. D of a term is computed in
+`term.local_group()`: G itself for term 0, and for every later term its
+`as_group()`, a materialized subgroup one level deep whose products are
+products in G. D's members map back to G through the term's own member
+list (`term.lift`). Each step's factor is read from the quotient
+`local_quotient(term, next)`, which stays cached on the term's local group,
+so `subnormal_certificate` reuses the report's terms, factors and step
+quotients instead of building a second chain. `verify_certificate` reads
+none of these: it rebuilds every step in a fresh materialization. The
+ordinary derived series shares the factor loop.
 
 D0 is computed through the solvable radical R: every maximal normal subgroup
 with nonabelian (simple) quotient contains R, because the image of a solvable
@@ -268,9 +270,9 @@ def generalized_derived_subgroup(G):
 def generalized_derived_series(G, max_terms=None):
     """Iterate D until the identity; length field is the abelian-simple length.
 
-    Every term is a Subgroup of G, and D of a term is computed in G for the
-    first step and in the term's own `as_group()` after that, whose index k
-    stands for the term's k-th member. max_terms truncates the chain early
+    Every term is a Subgroup of G, and D of a term is computed in the
+    term's `local_group()`, whose index k stands for the term's k-th
+    member. max_terms truncates the chain early
     (used by witness searches that only need the first few terms);
     truncated reports have terminates=False.
     """
@@ -283,14 +285,12 @@ def generalized_derived_series(G, max_terms=None):
         if max_terms is not None and len(terms) > max_terms:
             break
         cur = terms[-1]
-        d = generalized_derived_subgroup(cur.as_group() if len(terms) > 1
-                                         else G)
+        d = generalized_derived_subgroup(cur.local_group())
         if d.order == cur.order:
             raise DecompositionFailed(
                 f"generalized derived series stalled on {G.name}")
         # D(term) is characteristic in the term, hence normal in G
-        terms.append(Subgroup(G, [cur.members[k] for k in d.members],
-                              normal=True))
+        terms.append(cur.lift(d, normal=True))
     report = _report(G, terms)
     if max_terms is None:
         G._cache["gds_series"] = report
@@ -366,8 +366,7 @@ def subnormal_certificate(G):
             Q, pi = local_quotient(a, b)
             zq = center(Q)
             mid = pi.preimage(zq)
-            terms.append(Subgroup(G, [a.members[k] for k in mid.members],
-                                  normal=True))
+            terms.append(a.lift(mid, normal=True))
             factors.append(FactorDescriptor(
                 order=Q.order // zq.order, abelian_invariants=(),
                 simple_orders=desc.simple_orders))
@@ -390,11 +389,13 @@ def verify_certificate(report):
         a, b = terms[i], terms[i + 1]
         if not b.member_set < a.member_set:
             return False
-        # b's normality in a is checked, not assumed
-        local = local_quotient(a, b, normal=None)
-        if local is None:
+        # a fresh host, so that no group, quotient or flag cached by the
+        # series is read back; b's normality in a is checked, not assumed
+        host = Subgroup(G, a.members).as_group()
+        local = Subgroup(host, map(host.index_of, b.members))
+        if not local.verify_normal():
             return False
-        Q, _ = local
+        Q, _ = quotient(host, local)
         if Q.order != desc.order:
             return False
         if desc.kind in ("abelian", "trivial"):

@@ -199,6 +199,21 @@ def test_certificate_builds_no_group_after_the_series(s4, a5, monkeypatch):
         assert verify_certificate(rep)
 
 
+def test_verify_certificate_reads_no_cached_quotient():
+    """A step quotient corrupted in the cache before the series is built
+    gives a wrong certificate; verify_certificate rebuilds every step in a
+    fresh group, so it rejects it."""
+    c2 = cyclic_group(2)
+    for g, fake in ((cyclic_group(4), direct_product(c2, c2)),
+                    (alternating_group(5), cyclic_group(60))):
+        g._cache[("quotient", frozenset({0}))] = (fake, None)
+        rep = subnormal_certificate(g)
+        assert rep.factors[0].kind == "abelian"
+        assert rep.factors[0].abelian_invariants == \
+            abelian_invariants(full_subgroup(fake))
+        assert not verify_certificate(rep), g.name
+
+
 def test_series_terms_match_the_oracle_chain():
     """Every series term of every catalog group of order <= 120 is the
     oracle's D chain lifted into G, up to the first group in the chain
