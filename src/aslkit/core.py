@@ -67,7 +67,8 @@ class Group:
             self._encode = encode
             self._compose = mul
             self._iinv = inv
-        self.labels = tuple(labeler(v) for v in values)
+        self._labeler = labeler
+        self._labels = None
         self.name = name
         self.kind = kind
         self.identity = 0
@@ -77,6 +78,14 @@ class Group:
         self._generators = None
         if generators is not None:
             self.generators = generators
+
+    @property
+    def labels(self):
+        """Element labels, made on first use: most quotient and subgroup
+        groups are never printed."""
+        if self._labels is None:
+            self._labels = tuple(map(self._labeler, self._values))
+        return self._labels
 
     @property
     def generators(self):
@@ -260,11 +269,12 @@ class Subgroup:
         when this subgroup is all of it, and as_group() otherwise."""
         return self.parent if self.is_full() else self.as_group()
 
-    def lift(self, sub, normal=None):
+    def lift(self, sub):
         """The Subgroup of the parent made of members[k] for every index k
-        of sub, a Subgroup of local_group()."""
+        of sub, a Subgroup of local_group() whose image the caller knows
+        to be normal in the parent."""
         return Subgroup(self.parent, [self.members[k] for k in sub.members],
-                        normal=normal)
+                        normal=True)
 
     def intersect(self, other):
         assert other.parent is self.parent

@@ -290,7 +290,7 @@ def generalized_derived_series(G, max_terms=None):
             raise DecompositionFailed(
                 f"generalized derived series stalled on {G.name}")
         # D(term) is characteristic in the term, hence normal in G
-        terms.append(cur.lift(d, normal=True))
+        terms.append(cur.lift(d))
     report = _report(G, terms)
     if max_terms is None:
         G._cache["gds_series"] = report
@@ -366,7 +366,8 @@ def subnormal_certificate(G):
             Q, pi = local_quotient(a, b)
             zq = center(Q)
             mid = pi.preimage(zq)
-            terms.append(a.lift(mid, normal=True))
+            # Z(a/b) is characteristic in a/b, hence mid is normal in G
+            terms.append(a.lift(mid))
             factors.append(FactorDescriptor(
                 order=Q.order // zq.order, abelian_invariants=(),
                 simple_orders=desc.simple_orders))

@@ -179,6 +179,23 @@ def test_quotient_s4_by_v4(s4):
     assert pi.kernel().member_set == v4.member_set
 
 
+def test_labels_are_made_on_first_use():
+    made = []
+
+    def labeler(v):
+        made.append(v)
+        return f"r{v}"
+
+    c3 = Group(range(3), lambda a, b: (a + b) % 3, lambda a: -a % 3,
+               labeler, name="C3")
+    assert made == []
+    q, _ = quotient(c3, trivial_subgroup(c3))
+    assert made == []
+    assert q.label(2) == "[r2]"
+    assert q.labels == ("[r0]", "[r1]", "[r2]")
+    assert made == [0, 1, 2]
+
+
 def test_quotient_edges(s4):
     q, _ = quotient(s4, trivial_subgroup(s4))
     assert is_isomorphic(q, s4)
