@@ -380,7 +380,8 @@ def _cmd_verify(args):
                       for c in res.cases],
         })
         lines.append(f"[{'PASS' if res.ok else 'FAIL'}] {res.suite}: "
-                     f"{res.passed}/{len(res.cases)} cases -- {res.claim}")
+                     f"{res.passed}/{len(res.cases)} cases "
+                     f"({res.elapsed:.2f} s) -- {res.claim}")
         for c in res.cases:
             if not c.ok:
                 lines.append(f"    FAIL {c.id}: {c.detail}")

@@ -110,6 +110,31 @@ class Group:
             self._mul_cache[key] = r
         return r
 
+    def product(self):
+        """The raw index product (i, j) -> index, for the closures of the
+        groups composed from this one, which thus pay one call per level
+        and no `mul` frame: `_compose` for a composed group, and for a leaf
+        a lookup in the product memo that falls back to `vmul` on a miss.
+        The memo is read here, not in `__init__`, so a memo swapped in
+        after construction is the one filled."""
+        compose = self._compose
+        if compose is not None:
+            return compose
+        memo = self._mul_cache
+        get = memo.get
+        order, index, values, vmul = \
+            self.order, self._index, self._values, self._vmul
+
+        def product(i, j):
+            key = i * order + j
+            r = get(key)
+            if r is None:
+                r = index[vmul(values[i], values[j])]
+                memo[key] = r
+            return r
+
+        return product
+
     def inv(self, i):
         r = self._inv_cache[i]
         if r is None:
@@ -247,7 +272,7 @@ class Subgroup:
             G = self.parent
             members = self.members
             pos = {p: i for i, p in enumerate(members)}
-            gmul, ginv = G.mul, G.inv
+            gmul, ginv = G.product(), G.inv
 
             def mul(i, j):
                 return pos[gmul(members[i], members[j])]
@@ -624,11 +649,11 @@ def mixed_radix(factors):
     """
     head = factors[0]
     if len(factors) == 1:
-        return head.mul, head.inv, lambda t: t[0]
+        return head.product(), head.inv, lambda t: t[0]
     rest = 1
     for f in factors[1:]:
         rest *= f.order
-    hmul, hinv = head.mul, head.inv
+    hmul, hinv = head.product(), head.inv
     rmul, rinv, rencode = mixed_radix(factors[1:])
 
     def mul(i, j):
@@ -711,7 +736,7 @@ def semidirect_product(N, H, act, name=None, validate=True,
     if total > closure_cap:
         raise CapExceeded(f"semidirect order {total} exceeds cap {closure_cap}")
     app = act.apply
-    nmul, ninv, hmul, hinv = N.mul, N.inv, H.mul, H.inv
+    nmul, ninv, hmul, hinv = N.product(), N.inv, H.product(), H.inv
     nh = H.order
 
     # the value (n, h) sits at index n * |H| + h; identity parts (index 0)
@@ -774,7 +799,7 @@ def quotient(G, N, name=None):
     reps, rep_of = left_coset_reps(G, N)
     pos = {r: k for k, r in enumerate(reps)}
     coset = tuple(pos[r] for r in rep_of)
-    gmul, ginv = G.mul, G.inv
+    gmul, ginv = G.product(), G.inv
 
     def mul(a, b):
         return coset[gmul(reps[a], reps[b])]

@@ -8,8 +8,10 @@ and under the interpreter lock pure-Python cases gain nothing from a pool.
 
 from __future__ import annotations
 
+import gc
 import math
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .core import (
@@ -75,6 +77,7 @@ class SuiteResult:
     suite: str
     claim: str
     cases: list
+    elapsed: float = field(default=0.0, compare=False)  # seconds, whole suite
 
     @property
     def passed(self):
@@ -91,17 +94,34 @@ class SuiteResult:
 
 def _run_cases(claim, suite, jobs):
     """jobs: list of (id, zero-arg callable -> (ok, detail)); the cases are
-    returned sorted by case id."""
+    returned sorted by case id.
 
-    def call(job):
-        cid, fn = job
-        try:
-            ok, detail = fn()
-        except ToolkitError as exc:
-            ok, detail = False, f"{type(exc).__name__}: {exc}"
-        return Case(cid, ok, detail)
-
-    cases = sorted((call(j) for j in jobs), key=lambda c: c.id)
+    What exists on entry is frozen, and after each case the cyclic
+    collector runs once and what survives, mostly per-group caches that
+    live until exit anyway, is frozen too, so collections walk only what
+    the running case allocates; the freeze on entry keeps a suite's first
+    collection from walking every earlier suite's caches again. The suite
+    unfreezes all of it on the way out; a caller that froze objects itself
+    keeps the collector as it left it.
+    """
+    scoped = gc.get_freeze_count() == 0
+    cases = []
+    try:
+        if scoped:
+            gc.freeze()
+        for cid, fn in jobs:
+            try:
+                ok, detail = fn()
+            except ToolkitError as exc:
+                ok, detail = False, f"{type(exc).__name__}: {exc}"
+            cases.append(Case(cid, ok, detail))
+            if scoped:
+                gc.collect()
+                gc.freeze()
+    finally:
+        if scoped:
+            gc.unfreeze()
+    cases.sort(key=lambda c: c.id)
     return SuiteResult(suite, claim, cases)
 
 
@@ -800,7 +820,10 @@ def run_suite(name, max_order=200, oracle_cap=16):
         kwargs["max_order"] = max_order if cap is None else min(max_order, cap)
     if name == "oracle-agreement":
         kwargs["oracle_cap"] = oracle_cap
-    return fn(**kwargs)
+    t0 = time.monotonic()
+    res = fn(**kwargs)
+    res.elapsed = time.monotonic() - t0
+    return res
 
 
 def run_all(max_order=200, oracle_cap=16):

@@ -158,6 +158,18 @@ def test_verify_reports_are_deterministic():
     assert render() == render()
 
 
+def test_verify_times_each_suite_in_text_only():
+    report, code = run(["verify", "kernel"])
+    assert code == 0
+    assert re.search(r"^\[PASS\] kernel: 3/3 cases \(\d+\.\d\d s\) -- ",
+                     report.to_text(), re.M)
+    report, code = run(["verify", "kernel", "--json"])
+    text = report.to_json()
+    assert " s)" not in text and "elapsed" not in text
+    assert set(json.loads(text)["result"]["suites"][0]) == \
+        {"suite", "claim", "passed", "failed", "cases"}
+
+
 def test_json_flag_position():
     a, _ = _json_result(["--json", "length", "S4"])
     b, _ = _json_result(["length", "S4", "--json"])

@@ -45,14 +45,17 @@ def perm_groups(draw, max_degree=5):
 
 
 def _check(G, product, inverse):
-    """G.mul and G.inv on every index against the value-level rules."""
+    """G.mul, G.product() and G.inv on every index against the value-level
+    rules."""
     index = {G.value(k): k for k in range(G.order)}
+    raw = G.product()
     for i in range(G.order):
         vi = G.value(i)
         assert G.inv(i) == index[inverse(vi)], (G.name, i)
         for j in range(G.order):
             assert G.mul(i, j) == index[product(vi, G.value(j))], \
                 (G.name, i, j)
+            assert raw(i, j) == G.mul(i, j), (G.name, i, j)
 
 
 def _check_semidirect(W, N, H, app):
@@ -141,6 +144,50 @@ def test_materialized_subgroups_multiply_in_the_parent(G, data):
     seeds = data.draw(st.lists(st.integers(0, G.order - 1), max_size=2))
     H = subgroup_generated(G, seeds).as_group()
     _check(H, G.mul, G.inv)
+
+
+@SETTINGS
+@given(perm_groups(max_degree=4), perm_groups(max_degree=3), st.data())
+def test_nested_quotient_and_subgroup_of_a_product(A, B, data):
+    """Q = (A x B)/N and a materialized subgroup of Q, each checked against
+    products recomputed factor by factor from the element values."""
+    P = direct_product_many([A, B])
+    N = data.draw(st.sampled_from(list(all_normal_subgroups(P))))
+    Q, _ = quotient(P, N)
+
+    def pmul(i, j):
+        return P.index_of(tuple(f.mul(x, y) for f, x, y
+                                in zip(P.factors, P.value(i), P.value(j))))
+
+    def pinv(i):
+        return P.index_of(tuple(f.inv(x) for f, x
+                                in zip(P.factors, P.value(i))))
+
+    def coset_rep(g):
+        return min(pmul(g, n) for n in N.members)
+
+    def qmul(a, b):
+        return coset_rep(pmul(a, b))
+
+    def qinv(a):
+        return coset_rep(pinv(a))
+
+    _check(Q, qmul, qinv)
+    seeds = data.draw(st.lists(st.integers(0, Q.order - 1), max_size=2))
+    H = subgroup_generated(Q, seeds).as_group()
+    _check(H, lambda x, y: Q.index_of(qmul(Q.value(x), Q.value(y))),
+           lambda x: Q.index_of(qinv(Q.value(x))))
+
+
+def test_leaf_product_fills_the_memo_present_when_it_is_called():
+    """A memo swapped in after construction, as an instrumenting wrapper
+    does, is the one the composed groups above the leaf fill."""
+    leaf = group_from_perm_generators(3, ["(1 2 3)", "(1 2)"])
+    memo = {}
+    leaf._mul_cache = memo
+    P = direct_product_many([leaf, cyclic_group(2)])
+    P.mul(P.order - 1, P.order - 3)
+    assert memo and leaf._mul_cache is memo
 
 
 @SETTINGS

@@ -1,0 +1,69 @@
+"""Derandomized differential tests: random permutation groups against the
+brute-force oracle, and the paper's length laws on every lattice member.
+
+Expected values come from `aslkit.oracle` and from element-level
+arithmetic, never from the main path's class spans.
+"""
+
+import math
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from aslkit.core import (
+    cycle_label,
+    direct_product,
+    group_from_perm_generators,
+    quotient,
+)
+from aslkit.normal import all_normal_subgroups
+from aslkit.oracle import oracle_D, oracle_length, oracle_normal_subgroups
+from aslkit.series import abelian_simple_length, generalized_derived_subgroup
+
+SETTINGS = settings(derandomize=True, deadline=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+
+@st.composite
+def perm_groups(draw, max_degree=6):
+    """Permutation group of degree <= max_degree on one or two generators.
+
+    The degree is drawn downward from max_degree: drawn upward, half the
+    examples were groups of order 1 or 2."""
+    degree = max_degree - draw(st.integers(0, max_degree - 1))
+    gens = draw(st.lists(st.permutations(range(degree)), min_size=1,
+                         max_size=2))
+    return group_from_perm_generators(
+        degree, [cycle_label(tuple(g)) for g in gens])
+
+
+@settings(SETTINGS, max_examples=150)
+@given(perm_groups())
+def test_main_path_matches_oracle(G):
+    main_lat = sorted((s.order, s.members) for s in all_normal_subgroups(G))
+    orc_lat = sorted((s.order, s.members) for s in oracle_normal_subgroups(G))
+    assert main_lat == orc_lat
+    assert generalized_derived_subgroup(G).member_set == \
+        oracle_D(G).member_set
+    lg = abelian_simple_length(G)
+    assert lg == oracle_length(G)
+    assert lg <= math.log2(G.order)
+
+
+@settings(SETTINGS, max_examples=100)
+@given(perm_groups())
+def test_length_laws_on_every_normal_subgroup(G):
+    """l(G/N) <= l(G), l(N) <= l(G) and l(G) <= l(N) + l(G/N)."""
+    lg = abelian_simple_length(G)
+    for nsub in all_normal_subgroups(G):
+        ln = abelian_simple_length(nsub.as_group())
+        lq = abelian_simple_length(quotient(G, nsub)[0])
+        assert lq <= lg and ln <= lg and lg <= ln + lq, nsub.order
+
+
+@settings(SETTINGS, max_examples=100)
+@given(perm_groups(max_degree=4), perm_groups(max_degree=4))
+def test_length_of_direct_product_is_the_max(A, B):
+    """D(A x B) = D(A) x D(B), so l(A x B) = max(l(A), l(B))."""
+    assert abelian_simple_length(direct_product(A, B)) == \
+        max(oracle_length(A), oracle_length(B))
