@@ -38,6 +38,20 @@ from .errors import (
 CLOSURE_CAP = 100000
 
 
+def check_order(cap, what, factors):
+    """Raise CapExceeded once the running product of factors passes cap.
+
+    A constructor lists the order of the group it is about to build as
+    factors, smallest first, so an order far beyond the cap is refused
+    before anything is built, and no huge integer is made or printed.
+    """
+    order = 1
+    for f in factors:
+        order *= f
+        if order > cap:
+            raise CapExceeded(f"|{what}| exceeds cap {cap}")
+
+
 class Group:
     """A finite group given by an indexed element table and a product oracle.
 
@@ -673,11 +687,7 @@ def mixed_radix(factors):
 
 def direct_product_many(factors, name=None, closure_cap=CLOSURE_CAP):
     """Direct product with tuple values; factors and embeddings retained."""
-    total = 1
-    for f in factors:
-        total *= f.order
-    if total > closure_cap:
-        raise CapExceeded(f"product order {total} exceeds cap {closure_cap}")
+    check_order(closure_cap, "direct product", (f.order for f in factors))
     mul, inv, encode = mixed_radix(factors)
 
     def labeler(a):
@@ -1000,9 +1010,7 @@ def find_isomorphism(G, H, cap=200):
     h_orders = sorted(H.element_order(i) for i in range(H.order))
     if g_orders != h_orders:
         return None
-    gens = G.generators if G.generators else ()
-    if not gens:
-        return Homomorphism(G, H, [0])
+    gens = G.generators
     candidates = [
         [x for x in range(H.order) if H.element_order(x) == G.element_order(g)]
         for g in gens]
@@ -1010,7 +1018,10 @@ def find_isomorphism(G, H, cap=200):
     def extend(images):
         k = len(images)
         if k == len(gens):
-            return _gen_image_hom(G, H, gens, images)
+            mapping = extend_along_cayley_graph(G, images, H.product(), 0)
+            if mapping is None or len(set(mapping)) != G.order:
+                return None
+            return Homomorphism(G, H, mapping)
         for x in candidates[k]:
             h = extend(images + [x])
             if h is not None:
@@ -1020,27 +1031,30 @@ def find_isomorphism(G, H, cap=200):
     return extend([])
 
 
-def _gen_image_hom(G, H, gens, images):
-    """Extend a generator assignment along the Cayley graph; None on conflict."""
-    mapping = [None] * G.order
-    mapping[0] = 0
+def extend_along_cayley_graph(G, images, compose, identity):
+    """Images of every element of G from images of G.generators.
+
+    Walks the Cayley graph breadth first: the image of x*g is
+    compose(image of x, image of g). The image of every element met again is
+    compared with the one it has, so a result respects every relation of G.
+    None when two paths disagree or the walk does not reach all of G.
+    """
+    mul = G.product()
+    out = [None] * G.order
+    out[0] = identity
     queue = [0]
-    k = 0
-    gi = list(zip(gens, images))
-    while k < len(queue):
-        x = queue[k]
-        k += 1
-        for g, img in gi:
-            y = G.mul(x, g)
-            fy = H.mul(mapping[x], img)
-            if mapping[y] is None:
-                mapping[y] = fy
+    steps = list(zip(G.generators, images))
+    for x in queue:
+        image = out[x]
+        for g, img in steps:
+            y = mul(x, g)
+            fy = compose(image, img)
+            if out[y] is None:
+                out[y] = fy
                 queue.append(y)
-            elif mapping[y] != fy:
+            elif out[y] != fy:
                 return None
-    if len(queue) != G.order or len(set(mapping)) != G.order:
-        return None
-    return Homomorphism(G, H, mapping)
+    return out if len(queue) == G.order else None
 
 
 def is_isomorphic(G, H, cap=200):

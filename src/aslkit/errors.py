@@ -76,3 +76,8 @@ class GroupSpecError(ToolkitError):
 
 class UnknownConstructor(GroupSpecError):
     """Group-spec names a constructor that does not exist."""
+
+
+class MalformedCycleInSpec(MalformedCycle, GroupSpecError):
+    """A malformed cycle written in a group spec: a syntax error with its
+    position, and still a MalformedCycle."""

@@ -2,16 +2,15 @@
 
 from __future__ import annotations
 
-from .core import CLOSURE_CAP, Group, group_from_perm_generators
-from .errors import CapExceeded, UnknownConstructor
+from .core import CLOSURE_CAP, Group, check_order, group_from_perm_generators
+from .errors import UnknownConstructor
 
 
 def cyclic_group(n, closure_cap=CLOSURE_CAP):
     """C_n with residue values and additive labels 0..n-1."""
     if n < 1:
         raise UnknownConstructor(f"C{n} undefined")
-    if n > closure_cap:
-        raise CapExceeded(f"|C{n}| exceeds cap {closure_cap}")
+    check_order(closure_cap, f"C{n}", (n,))
     G = Group(range(n), lambda a, b: (a + b) % n, lambda a: (-a) % n,
               str, name=f"C{n}", generators=[1 % n] if n > 1 else [],
               kind="cyclic")
@@ -29,6 +28,7 @@ def dihedral_group(n, closure_cap=CLOSURE_CAP):
     """Dihedral group of order 2n acting on n points (n >= 3; D2 = V4, D1 = C2)."""
     if n < 1:
         raise UnknownConstructor(f"D{n} undefined")
+    check_order(closure_cap, f"D{n}", (2, n))
     if n == 1:
         return group_from_perm_generators(2, ["(1 2)"], name="D1",
                                           closure_cap=closure_cap)
@@ -46,6 +46,7 @@ def dihedral_group(n, closure_cap=CLOSURE_CAP):
 def symmetric_group(n, closure_cap=CLOSURE_CAP):
     if n < 1:
         raise UnknownConstructor(f"S{n} undefined")
+    check_order(closure_cap, f"S{n}", range(2, n + 1))
     if n == 1:
         return group_from_perm_generators(1, [], name="S1")
     gens = ["(1 2)"]
@@ -58,6 +59,7 @@ def symmetric_group(n, closure_cap=CLOSURE_CAP):
 def alternating_group(n, closure_cap=CLOSURE_CAP):
     if n < 1:
         raise UnknownConstructor(f"A{n} undefined")
+    check_order(closure_cap, f"A{n}", range(3, n + 1))
     if n <= 2:
         return group_from_perm_generators(max(n, 1), [], name=f"A{n}")
     gens = [f"({i} {i + 1} {i + 2})" for i in range(1, n - 1)]

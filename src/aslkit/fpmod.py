@@ -1,15 +1,23 @@
 """Linear algebra over prime fields: invariant subspaces and function-space chains.
 
-Subspaces are held in reduced row-echelon form, which is unique per subspace,
-so equal subspaces always compare equal basis-by-basis.
+Every subspace is built in one place, `_insert`, which adds a row to a
+reduced echelon basis held as a dict {pivot column: row}. Because the basis
+is reduced, each pivot column is zero outside its own row, so a new row's
+entries at the pivots are its coefficients: it is reduced only at the pivots
+where it is nonzero, normalized, and its lead column is cleared from the
+other rows (Holt, Eick and O'Brien, *Handbook of Computational Group
+Theory*, 2005, ch. 7). `FpSubspace.basis` lists the rows by ascending pivot;
+reduced echelon form is unique per subspace, so equal subspaces always
+compare equal basis-by-basis.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 
-from .core import Group, Subgroup
+from .core import Group, Subgroup, extend_along_cayley_graph
 from .errors import DimensionTooLarge, NotAnAction, PropositionViolated
 from .series import derived_series, generalized_derived_series
 
@@ -17,33 +25,49 @@ VECTOR_ENUM_CAP = 2 ** 20
 SET_SIZE_CAP = 4096
 
 
+def _reduce(p, basis, row):
+    """The remainder of row mod p after reduction by the basis {pivot: row}."""
+    r = row
+    for c, x in [(c, x) for c in basis if (x := row[c] % p)]:
+        r = [a - x * b for a, b in zip(r, basis[c])]
+    return [x % p for x in r]
+
+
+def _insert(p, basis, row):
+    """Add row's remainder to the reduced echelon basis {pivot: row}.
+
+    Returns the new basis row, or None when row lies in the span already.
+    """
+    r = _reduce(p, basis, row)
+    first = next(filter(None, r), 0)
+    if not first:
+        return None
+    lead = r.index(first)
+    if first != 1:
+        inv = pow(first, -1, p)
+        r = [x * inv % p for x in r]
+    for c, b in basis.items():
+        x = b[lead]
+        if x:
+            basis[c] = [(a - x * y) % p for a, y in zip(b, r)]
+    basis[lead] = r
+    return r
+
+
+def _canonical(basis):
+    return tuple(tuple(basis[c]) for c in sorted(basis))
+
+
 def rref(p, rows):
     """Reduced row-echelon form over F_p; returns a tuple of nonzero rows.
 
-    Rows are inserted one at a time, reduced against the running basis,
-    normalized, and back-substituted, so the output is the canonical basis of
-    the span: pivots are 1, strictly increasing, alone in their column.
+    The output is the canonical basis of the span: pivots are 1, strictly
+    increasing, alone in their column.
     """
-    basis = []
+    basis = {}
     for r in rows:
-        r = [x % p for x in r]
-        for b in basis:
-            lead = next(i for i, x in enumerate(b) if x)
-            if r[lead]:
-                c = r[lead]
-                r = [(a - c * bb) % p for a, bb in zip(r, b)]
-        if not any(r):
-            continue
-        lead = next(i for i, x in enumerate(r) if x)
-        inv = pow(r[lead], -1, p)
-        r = [(x * inv) % p for x in r]
-        for i, b in enumerate(basis):
-            if b[lead]:
-                c = b[lead]
-                basis[i] = [(a - c * rr) % p for a, rr in zip(b, r)]
-        basis.append(r)
-    basis.sort(key=lambda b: next(i for i, x in enumerate(b) if x))
-    return tuple(tuple(b) for b in basis)
+        _insert(p, basis, r)
+    return _canonical(basis)
 
 
 @dataclass(frozen=True)
@@ -55,20 +79,14 @@ class FpSubspace:
 
     @staticmethod
     def from_vectors(p, ambient_dim, vectors):
-        return FpSubspace(p, ambient_dim, rref(p, list(vectors)))
+        return FpSubspace(p, ambient_dim, rref(p, vectors))
 
     @property
     def dim(self):
         return len(self.basis)
 
     def contains(self, vec):
-        v = [x % self.p for x in vec]
-        for b in self.basis:
-            lead = next((i for i, x in enumerate(b) if x), None)
-            if lead is not None and v[lead]:
-                c = v[lead]
-                v = [(a - c * pb) % self.p for a, pb in zip(v, b)]
-        return not any(v)
+        return len(rref(self.p, (*self.basis, vec))) == self.dim
 
     def is_zero(self):
         return not self.basis
@@ -115,23 +133,10 @@ class LinearAction:
             norm.append(M)
         ident = tuple(tuple(1 if i == j else 0 for j in range(dim))
                       for i in range(dim))
-        mats = [None] * actor.order
-        mats[0] = ident
-        queue = [0]
-        k = 0
-        while k < len(queue):
-            x = queue[k]
-            k += 1
-            for g, Mg in zip(gens, norm):
-                y = actor.mul(x, g)
-                My = _mat_mul(p, mats[x], Mg)
-                if mats[y] is None:
-                    mats[y] = My
-                    queue.append(y)
-                elif mats[y] != My:
-                    raise NotAnAction("matrices do not define a representation")
-        if len(queue) != actor.order:
-            raise NotAnAction("generators of the actor do not generate it")
+        mats = extend_along_cayley_graph(
+            actor, norm, lambda A, B: _mat_mul(p, A, B), ident)
+        if mats is None:
+            raise NotAnAction("matrices do not define a representation")
         self.matrices = tuple(mats)
 
     def matrix(self, i):
@@ -180,33 +185,21 @@ def as_group_action(act: LinearAction):
     return GroupAction(act.actor, V, apply)
 
 
-def _decode_vec(n, p, dim):
-    out = []
-    for _ in range(dim):
-        out.append(n % p)
-        n //= p
-    return tuple(out)
-
-
 def invariant_span(act, vectors):
-    """Smallest act-invariant subspace containing the given vectors."""
-    p, dim = act.p, act.dim
+    """Smallest act-invariant subspace containing the given vectors.
+
+    One basis grows: every row added to it is moved by each generator and
+    inserted in turn, so the rows added span an invariant subspace.
+    """
+    p = act.p
     gens = [act.matrices[g] for g in act.actor.generators]
-    rows = list(vectors)
-    space = FpSubspace.from_vectors(p, dim, rows)
-    frontier = list(space.basis)
+    basis = {}
+    frontier = list(vectors)
     while frontier:
-        new = []
-        for v in frontier:
-            for M in gens:
-                w = _mat_vec(p, v, M)
-                if not space.contains(w):
-                    new.append(w)
-        if not new:
-            break
-        space = FpSubspace.from_vectors(p, dim, list(space.basis) + new)
-        frontier = new
-    return space
+        added = [r for r in (_insert(p, basis, v) for v in frontier)
+                 if r is not None]
+        frontier = [_mat_vec(p, r, M) for r in added for M in gens]
+    return FpSubspace(p, act.dim, _canonical(basis))
 
 
 def is_irreducible(act, vector_cap=VECTOR_ENUM_CAP):
@@ -219,8 +212,8 @@ def is_irreducible(act, vector_cap=VECTOR_ENUM_CAP):
         raise DimensionTooLarge(f"{total} vectors exceed cap {vector_cap}")
     if dim == 1:
         return True
-    for n in range(1, total):
-        v = _decode_vec(n, p, dim)
+    vectors = itertools.product(range(p), repeat=dim)
+    for v in itertools.islice(vectors, 1, None):
         if invariant_span(act, [v]).dim < dim:
             return False
     return True
@@ -236,19 +229,15 @@ def coinvariant_span(act, vector_cap=VECTOR_ENUM_CAP):
     p, dim = act.p, act.dim
     if p ** dim > vector_cap:
         raise DimensionTooLarge("vector cap exceeded")
-    rows = []
+    basis = {}
     for M in act.matrices:
         for i in range(dim):
-            row = tuple((M[i][j] - (1 if i == j else 0)) % p
-                        for j in range(dim))
-            if any(row):
-                rows.append(row)
-    span = FpSubspace.from_vectors(p, dim, rows)
-    for b in span.basis:
+            _insert(p, basis, [M[i][j] - (i == j) for j in range(dim)])
+    for b in basis.values():
         for g in act.actor.generators:
-            if not span.contains(act.apply_vec(b, g)):
+            if any(_reduce(p, basis, act.apply_vec(b, g))):
                 raise PropositionViolated("coinvariant span is not invariant")
-    return span
+    return FpSubspace(p, dim, _canonical(basis))
 
 
 # -- finite right G-sets ----------------------------------------------------------
@@ -266,24 +255,12 @@ class GSet:
         for img in gen_images:
             if sorted(img) != list(range(size)):
                 raise NotAnAction("generator image is not a permutation")
-        perms = [None] * group.order
-        perms[0] = tuple(range(size))
-        queue = [0]
-        k = 0
-        while k < len(queue):
-            x = queue[k]
-            k += 1
-            for g, pg in zip(gens, gen_images):
-                y = group.mul(x, g)
-                # right action: x.(ug) = (x.u).g
-                py = tuple(pg[perms[x][pt]] for pt in range(size))
-                if perms[y] is None:
-                    perms[y] = py
-                    queue.append(y)
-                elif perms[y] != py:
-                    raise NotAnAction("images do not define an action")
-        if len(queue) != group.order:
-            raise NotAnAction("group generators do not generate")
+        # right action: x.(ug) = (x.u).g
+        perms = extend_along_cayley_graph(
+            group, gen_images,
+            lambda pu, pg: tuple(map(pg.__getitem__, pu)), tuple(range(size)))
+        if perms is None:
+            raise NotAnAction("images do not define an action")
         self._perms = perms
         self.labels = tuple(labels) if labels else tuple(
             str(i) for i in range(size))
@@ -292,19 +269,7 @@ class GSet:
         return self._perms[g][point]
 
     def orbit(self, point, subgroup: Subgroup):
-        seen = {point}
-        queue = [point]
-        gens = subgroup.gens()
-        k = 0
-        while k < len(queue):
-            x = queue[k]
-            k += 1
-            for g in gens:
-                y = self._perms[g][x]
-                if y not in seen:
-                    seen.add(y)
-                    queue.append(y)
-        return sorted(seen)
+        return sorted({self._perms[h][point] for h in subgroup.members})
 
 
 def coset_space(G, H: Subgroup):
@@ -345,15 +310,10 @@ def v_chain(G, X: GSet, p, depth, set_cap=SET_SIZE_CAP):
                               for i in range(X.size)))]
     for i in range(depth):
         term = series.terms[i] if i < len(series.terms) else series.terms[-1]
-        gens = term.gens()
-        rows = []
-        for b in chain[-1].basis:
-            for g in gens:
-                moved = tuple(b[X.apply(x, g)] for x in range(X.size))
-                row = tuple((a - c) % p for a, c in zip(b, moved))
-                if any(row):
-                    rows.append(row)
-        chain.append(FpSubspace.from_vectors(p, X.size, rows))
+        perms = [X._perms[g] for g in term.gens()]
+        chain.append(FpSubspace.from_vectors(p, X.size, (
+            list(map(operator.sub, f, map(f.__getitem__, perm)))
+            for f in chain[-1].basis for perm in perms)))
     return chain
 
 

@@ -8,6 +8,7 @@ labels are bit-exact row-major entry lists, so reports are diffable.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -15,6 +16,7 @@ from .core import (
     CLOSURE_CAP,
     Subgroup,
     Homomorphism,
+    check_order,
     generate_group,
     is_isomorphic,
     local_quotient,
@@ -365,13 +367,15 @@ def _transvection_gens(n, ring):
 
 def _diag_unit(n, u):
     M = [[1 if r == c else 0 for c in range(n)] for r in range(n)]
-    M[0][0] = u
+    if n:  # GL of dimension 0 is trivial
+        M[0][0] = u
     return tuple(tuple(r) for r in M)
 
 
 def gl_group(n, q, closure_cap=CLOSURE_CAP):
     """GL(n, F_q) from transvections plus one diagonal unit."""
     F = PrimePowerField(q)
+    check_order(closure_cap, f"GL({n},{q})", _gl_factors(n, q, 1))
     gens = _transvection_gens(n, F)
     if q > 2:
         gens.append(_diag_unit(n, F.multiplicative_generator()))
@@ -382,6 +386,7 @@ def gl_group(n, q, closure_cap=CLOSURE_CAP):
 def sl_group(n, q, closure_cap=CLOSURE_CAP):
     """SL(n, F_q), generated by all transvections."""
     F = PrimePowerField(q)
+    check_order(closure_cap, f"SL({n},{q})", _gl_factors(n, q, 2))
     spec = MatrixGroupSpec(n, F, tuple(_transvection_gens(n, F)))
     return matrix_group(spec, name=f"SL({n},{q})", closure_cap=closure_cap)
 
@@ -390,9 +395,8 @@ def unitriangular_group(n, p, closure_cap=CLOSURE_CAP):
     """Upper unitriangular U(n, p); order p^(n(n-1)/2)."""
     if not _is_prime(p):
         raise UnknownConstructor(f"U({n},{p}) needs a prime")
-    expected = p ** (n * (n - 1) // 2)
-    if expected > closure_cap:
-        raise CapExceeded(f"|U({n},{p})| = {expected} exceeds cap")
+    check_order(closure_cap, f"U({n},{p})",
+                (p for _ in range(n * (n - 1) // 2)))
     F = PrimePowerField(p)
     gens = []
     for i in range(n - 1):
@@ -401,7 +405,7 @@ def unitriangular_group(n, p, closure_cap=CLOSURE_CAP):
         gens.append(tuple(tuple(r) for r in M))
     spec = MatrixGroupSpec(n, F, tuple(gens))
     G = matrix_group(spec, name=f"U({n},{p})", closure_cap=closure_cap)
-    assert G.order == expected
+    assert G.order == p ** (n * (n - 1) // 2)
     return G
 
 
@@ -409,10 +413,10 @@ def glz_group(n, ell, k, closure_cap=CLOSURE_CAP):
     """GL(n, Z/ell^k) from transvections plus diagonal unit generators."""
     if not _is_prime(ell):
         raise UnknownConstructor(f"GLZ needs a prime, got {ell}")
-    expected = _gl_order(n, ell) * ell ** (n * n * (k - 1))
-    if expected > closure_cap:
-        raise CapExceeded(
-            f"|GL({n}, Z/{ell}^{k})| = {expected} exceeds cap {closure_cap}")
+    if k < 1:
+        raise UnknownConstructor(f"GLZ needs an exponent k >= 1, got {k}")
+    check_order(closure_cap, f"GL({n}, Z/{ell}^{k})", itertools.chain(
+        _gl_factors(n, ell, 1), (ell for _ in range(n * n * (k - 1)))))
     R = ResidueRing(ell ** k)
     gens = _transvection_gens(n, R)
     for u in R.unit_group_generators():
@@ -422,15 +426,15 @@ def glz_group(n, ell, k, closure_cap=CLOSURE_CAP):
                      closure_cap=closure_cap)
     G.structure = {"matrix": True, "n": n, "ring": R,
                    "residue": (ell, k)}
-    assert G.order == expected
+    assert G.order == \
+        math.prod(_gl_factors(n, ell, 1)) * ell ** (n * n * (k - 1))
     return G
 
 
-def _gl_order(n, q):
-    out = 1
-    for i in range(n):
-        out *= q ** n - q ** i
-    return out
+def _gl_factors(n, q, start):
+    """The factors q^(j-1) (q^j - 1) for j = start..n, smallest first: from
+    start 1 their product is |GL(n, q)|, from start 2 it is |SL(n, q)|."""
+    return (q ** (j - 1) * (q ** j - 1) for j in range(start, n + 1))
 
 
 def residue_map(G, closure_cap=CLOSURE_CAP):

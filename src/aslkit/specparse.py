@@ -12,7 +12,7 @@ Grammar (EBNF, also documented in the README):
              | "U"  , "(" , integer , "," , integer , ")"
              | "GLZ" , "(" , integer , "," , integer , "," , integer , ")" ;
     permgrp  = "perm" , "(" , integer , ";" , cycles , { "," , cycles } , ")" ;
-    cycles   = { "(" , integer , { integer } , ")" } ;
+    cycles   = { "(" , { integer } , ")" } ;
     matgrp   = "mat" , "(" , ring , ";" , matrix , { "," , matrix } , ")" ;
     ring     = ( "F" | "Z" ) , integer ;
     matrix   = "[" , row , { "," , row } , "]" ;
@@ -38,7 +38,12 @@ from .core import (
     cycle_label,
     quotient,
 )
-from .errors import GroupSpecError, MalformedCycle, UnknownConstructor
+from .errors import (
+    GroupSpecError,
+    MalformedCycle,
+    MalformedCycleInSpec,
+    UnknownConstructor,
+)
 from .families import (
     alternating_group,
     cyclic_group,
@@ -139,7 +144,13 @@ class _Cursor:
         if not m:
             self.error("expected an integer")
         self.pos += m.end()
-        return int(m.group(0))
+        return self.to_int(m.group(0), self.pos - m.end())
+
+    def to_int(self, digits, pos):
+        try:
+            return int(digits)
+        except ValueError:  # more digits than int() converts
+            self.error(f"integer of {len(digits)} digits is too long", pos)
 
     def at_end(self):
         self.skip_ws()
@@ -242,7 +253,8 @@ def _parse_atom(cur):
         return Named(name, tuple(args))
     m = _NAMED_RE.match(name)
     if m and m.group(1) in ("C", "D", "S", "A", "Q"):
-        letter, num = m.group(1), int(m.group(2))
+        letter = m.group(1)
+        num = cur.to_int(m.group(2), cur.pos - len(m.group(2)))
         if letter == "Q" and num != 8:
             raise UnknownConstructor(f"unknown constructor {name!r}")
         return Named(letter, (num,))
@@ -255,21 +267,25 @@ def _parse_perm(cur):
     cur.eat(";")
     words = []
     while True:
+        cur.skip_ws()
+        start = cur.pos
         word = _parse_cycle_word(cur)
-        words.append(word)
+        try:
+            words.append(cycle_label(perm_from_cycles(degree, word)))
+        except MalformedCycle as exc:
+            raise MalformedCycleInSpec(str(exc), *cur._linecol(start)) \
+                from None
         if not cur.try_eat(","):
             break
     cur.eat(")")
-    normalized = tuple(cycle_label(perm_from_cycles(degree, w))
-                       for w in words)
-    return PermSpec(degree, normalized)
+    return PermSpec(degree, tuple(words))
 
 
 def _parse_cycle_word(cur):
     parts = []
     while cur.peek() == "(":
         cur.eat("(")
-        pts = [cur.integer()]
+        pts = []  # "()" is the identity, as unparse writes it
         while cur.peek().isdigit():
             pts.append(cur.integer())
         cur.eat(")")
@@ -284,6 +300,7 @@ def _parse_mat(cur):
     ring = cur.name()
     if not re.match(r"^[FZ]\d+$", ring):
         cur.error(f"unknown ring {ring!r}; use F<q> or Z<m>")
+    cur.to_int(ring[1:], cur.pos - len(ring) + 1)  # refuse a size too long
     cur.eat(";")
     mats = [_parse_matrix(cur)]
     while cur.try_eat(","):

@@ -31,6 +31,7 @@ from .core import (
     GroupAction,
     Homomorphism,
     Subgroup,
+    check_order,
     full_subgroup,
     left_coset_reps,
     mixed_radix,
@@ -59,9 +60,7 @@ def induced_group(A, G, G0: Subgroup, act: GroupAction = None,
         act.validate()
     reps, rep_of = left_coset_reps(G, G0)
     m = len(reps)
-    if A.order ** m > closure_cap:
-        raise CapExceeded(
-            f"|A|^[G:G0] = {A.order ** m} exceeds cap {closure_cap}")
+    check_order(closure_cap, f"{A.name}^{m}", (A.order for _ in range(m)))
     g0_pos = {p: i for i, p in enumerate(G0.members)}
     rep_pos = {r: i for i, r in enumerate(reps)}
     app = act.apply

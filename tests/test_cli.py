@@ -2,7 +2,10 @@
 
 import json
 import re
+import time
 from pathlib import Path
+
+import pytest
 
 from aslkit.cli import _build_parser, run
 
@@ -120,6 +123,35 @@ def test_cap_exceeded_exit_3():
     assert code == 3
     _, code = run(["--closure-cap", "10", "length", "S4"])
     assert code == 3
+
+
+OVERSIZED = {
+    "GLZ(92,3,2)": (3, "|GL(92, Z/3^2)| exceeds cap 100000"),
+    "C<5000 nines>": (2, "integer of 5000 digits is too long "
+                         "(line 1, column 2)"),
+    "mat(F<5000 nines>; [[1]])": (2, "too long (line 1, column 6)"),
+    "GL(92,3)": (3, "|GL(92,3)| exceeds cap"),
+    "SL(92,3)": (3, "|SL(92,3)| exceeds cap"),
+    "D99999999999": (3, "|D99999999999| exceeds cap"),
+    "S99": (3, "|S99| exceeds cap"),
+    "A99": (3, "|A99| exceeds cap"),
+    "U(200,2)": (3, "|U(200,2)| exceeds cap"),
+    "C2 x <15000 factors>": (3, "|direct product| exceeds cap"),
+}
+
+
+@pytest.mark.parametrize("name", OVERSIZED)
+def test_oversized_specs_exit_with_their_codes_at_once(name):
+    """The order is compared with the cap factor by factor before anything
+    is built, and an integer too long to convert is a syntax error."""
+    spec = name.replace("<5000 nines>", "9" * 5000).replace(
+        " x <15000 factors>", " x C2" * 14999)
+    code, message = OVERSIZED[name]
+    t0 = time.monotonic()
+    payload, got = _json_result(["length", spec])
+    assert got == code
+    assert message in payload["result"]["error"]
+    assert time.monotonic() - t0 < 5
 
 
 def test_dense_cap_is_a_usage_error():

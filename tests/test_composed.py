@@ -2,6 +2,7 @@
 from element values and the factors' own products."""
 
 import pytest
+from group_strategies import perm_groups
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
@@ -11,7 +12,6 @@ from aslkit.core import (
     GroupAction,
     Homomorphism,
     Subgroup,
-    cycle_label,
     direct_product_many,
     group_from_perm_generators,
     normal_closure,
@@ -32,16 +32,6 @@ from aslkit.wreath import twisted_wreath_product
 SETTINGS = settings(derandomize=True, max_examples=25, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow,
                                            HealthCheck.filter_too_much])
-
-
-@st.composite
-def perm_groups(draw, max_degree=5):
-    """Permutation group of degree <= max_degree on one or two generators."""
-    degree = draw(st.integers(1, max_degree))
-    gens = draw(st.lists(st.permutations(range(degree)), min_size=1,
-                         max_size=2))
-    return group_from_perm_generators(
-        degree, [cycle_label(tuple(g)) for g in gens])
 
 
 def _check(G, product, inverse):
@@ -98,7 +88,7 @@ def test_direct_products_multiply_factorwise(factors):
 
 
 @SETTINGS
-@given(perm_groups(), st.data())
+@given(perm_groups(max_degree=5), st.data())
 def test_semidirect_products_under_conjugation(G, data):
     x = data.draw(st.integers(0, G.order - 1))
     y = data.draw(st.integers(0, G.order - 1))
@@ -126,7 +116,7 @@ def test_semidirect_products_under_fixed_nontrivial_actions():
 
 
 @SETTINGS
-@given(perm_groups(), st.data())
+@given(perm_groups(max_degree=5), st.data())
 def test_quotients_multiply_coset_representatives(G, data):
     N = data.draw(st.sampled_from(list(all_normal_subgroups(G))))
     Q, _ = quotient(G, N)
@@ -139,7 +129,7 @@ def test_quotients_multiply_coset_representatives(G, data):
 
 
 @SETTINGS
-@given(perm_groups(), st.data())
+@given(perm_groups(max_degree=5), st.data())
 def test_materialized_subgroups_multiply_in_the_parent(G, data):
     seeds = data.draw(st.lists(st.integers(0, G.order - 1), max_size=2))
     H = subgroup_generated(G, seeds).as_group()
@@ -290,6 +280,23 @@ def test_composed_groups_keep_no_product_memo():
             continue
         assert len(g._mul_cache) == 0, g.name
     assert len(s3._mul_cache) > 0
+
+
+def test_materialized_series_terms_of_a_wreath_product():
+    """S3 wr C2 is checked factor by factor from its element values, and
+    each proper nontrivial term of its series, materialized, multiplies as
+    its members do in the wreath product."""
+    s3, c2 = symmetric_group(3), cyclic_group(2)
+    w = twisted_wreath_product(s3, c2, subgroup_generated(c2, []))
+    Ind, W = w.ind_group, w.group
+    _check(Ind, lambda f1, f2: tuple(map(s3.mul, f1, f2)),
+           lambda f: tuple(map(s3.inv, f)))
+    _check_semidirect(W, Ind, c2, w.action.apply)
+    terms = [t for t in generalized_derived_series(W).terms
+             if not (t.is_full() or t.is_trivial())]
+    assert [t.order for t in terms] == [18, 9]
+    for term in terms:
+        _check(term.as_group(), W.mul, W.inv)
 
 
 def test_validate_rejects_a_map_wrong_at_one_element():

@@ -1,10 +1,12 @@
 """Prime-field subspaces, linear actions, G-sets, function-space chains."""
 
+import random
+
 import pytest
 
 from aslkit.core import subgroup_generated, trivial_subgroup, full_subgroup
 from aslkit.errors import DimensionTooLarge, NotAnAction
-from aslkit.families import cyclic_group
+from aslkit.families import cyclic_group, symmetric_group
 from aslkit.fpmod import (
     FpSubspace,
     GSet,
@@ -18,6 +20,75 @@ from aslkit.fpmod import (
     v_chain,
     vector_group,
 )
+from aslkit.series import generalized_derived_series
+
+
+def _dense_rref(p, rows):
+    """Reference: dense Gauss-Jordan elimination that rescans every basis
+    row for its lead, kept independent of the module's pivot-indexed basis."""
+    basis = []
+    for r in rows:
+        r = [x % p for x in r]
+        for b in basis:
+            lead = next(i for i, x in enumerate(b) if x)
+            if r[lead]:
+                c = r[lead]
+                r = [(a - c * bb) % p for a, bb in zip(r, b)]
+        if not any(r):
+            continue
+        lead = next(i for i, x in enumerate(r) if x)
+        inv = pow(r[lead], -1, p)
+        r = [(x * inv) % p for x in r]
+        for i, b in enumerate(basis):
+            if b[lead]:
+                c = b[lead]
+                basis[i] = [(a - c * rr) % p for a, rr in zip(b, r)]
+        basis.append(r)
+    basis.sort(key=lambda b: next(i for i, x in enumerate(b) if x))
+    return tuple(tuple(b) for b in basis)
+
+
+def _dense_v_chain(G, X, p, depth):
+    """Reference chain: rows f - f^g moved point by point, dense rref."""
+    terms = generalized_derived_series(G).terms
+    chain = [tuple(tuple(int(i == j) for j in range(X.size))
+                   for i in range(X.size))]
+    for i in range(depth):
+        gens = terms[min(i, len(terms) - 1)].gens()
+        chain.append(_dense_rref(p, [
+            [f[x] - f[X.apply(x, g)] for x in range(X.size)]
+            for f in chain[-1] for g in gens]))
+    return chain
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_rref_and_contains_match_the_dense_reference(p):
+    rng = random.Random(p)
+    for _ in range(200):
+        k, n, density = rng.randint(1, 9), rng.randint(0, 12), rng.random()
+        rows = [[rng.randrange(-p, 2 * p) if rng.random() < density else 0
+                 for _ in range(k)] for _ in range(n)]
+        want = _dense_rref(p, rows)
+        assert rref(p, rows) == want
+        space = FpSubspace.from_vectors(p, k, rows)
+        assert space.basis == want
+        for _ in range(4):
+            vec = [rng.randrange(p) for _ in range(k)]
+            if rows and rng.random() < 0.5:  # a vector of the span
+                coeffs = [rng.randrange(p) for _ in rows]
+                vec = [sum(c * r[j] for c, r in zip(coeffs, rows))
+                       for j in range(k)]
+            inside = len(_dense_rref(p, rows + [vec])) == len(want)
+            assert space.contains(vec) == inside
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_v_chain_matches_the_dense_reference_on_s5_regular(p):
+    s5 = symmetric_group(5)
+    x = coset_space(s5, trivial_subgroup(s5))
+    chain = v_chain(s5, x, p, 2)
+    assert [v.dim for v in chain] == [120, 119, 118]
+    assert [v.basis for v in chain] == _dense_v_chain(s5, x, p, 2)
 
 
 def test_rref_canonical():
@@ -100,6 +171,16 @@ def test_vector_group():
 def test_gset_validation(s3):
     with pytest.raises(NotAnAction):
         GSet(s3, 2, [(0, 1), (0, 0)])
+
+
+def test_gset_rejects_images_that_break_a_relation(s3):
+    # both images are permutations, but the generator of order 3 is sent
+    # to a transposition, so its cube is not the identity
+    images = [(1, 0, 2) if s3.element_order(g) == 3 else (0, 2, 1)
+              for g in s3.generators]
+    assert sorted(s3.element_order(g) for g in s3.generators) == [2, 3]
+    with pytest.raises(NotAnAction, match="do not define an action"):
+        GSet(s3, 3, images)
 
 
 def test_coset_space(s4):

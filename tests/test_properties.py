@@ -7,34 +7,16 @@ arithmetic, never from the main path's class spans.
 
 import math
 
+from group_strategies import perm_groups
 from hypothesis import HealthCheck, given, settings
-from hypothesis import strategies as st
 
-from aslkit.core import (
-    cycle_label,
-    direct_product,
-    group_from_perm_generators,
-    quotient,
-)
+from aslkit.core import direct_product, quotient
 from aslkit.normal import all_normal_subgroups
 from aslkit.oracle import oracle_D, oracle_length, oracle_normal_subgroups
 from aslkit.series import abelian_simple_length, generalized_derived_subgroup
 
 SETTINGS = settings(derandomize=True, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
-
-
-@st.composite
-def perm_groups(draw, max_degree=6):
-    """Permutation group of degree <= max_degree on one or two generators.
-
-    The degree is drawn downward from max_degree: drawn upward, half the
-    examples were groups of order 1 or 2."""
-    degree = max_degree - draw(st.integers(0, max_degree - 1))
-    gens = draw(st.lists(st.permutations(range(degree)), min_size=1,
-                         max_size=2))
-    return group_from_perm_generators(
-        degree, [cycle_label(tuple(g)) for g in gens])
 
 
 @settings(SETTINGS, max_examples=150)

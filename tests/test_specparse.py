@@ -1,9 +1,23 @@
 """Mini-language parsing, unparse stability, label resolution."""
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from aslkit.errors import GroupSpecError, MalformedCycle, UnknownConstructor
+from aslkit.cli import run
+from aslkit.core import cycle_label
+from aslkit.errors import (
+    CapExceeded,
+    GroupSpecError,
+    MalformedCycle,
+    ToolkitError,
+    UnknownConstructor,
+)
 from aslkit.specparse import (
+    Named,
+    PermSpec,
+    ProdSpec,
+    QuotSpec,
     evaluate,
     group_from_spec,
     parse_group_spec,
@@ -106,3 +120,83 @@ def test_readme_examples_roundtrip():
         node = parse_group_spec(spec)
         assert evaluate(node).order >= 1
         assert unparse(parse_group_spec(unparse(node))) == unparse(node)
+
+
+SETTINGS = settings(derandomize=True, deadline=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+SMALL_CAP = 2000
+
+NAMED = st.one_of(
+    st.builds(lambda c, n: Named(c, (n,)), st.sampled_from("CD"),
+              st.integers(1, 12)),
+    st.builds(lambda c, n: Named(c, (n,)), st.sampled_from("SA"),
+              st.integers(1, 5)),
+    st.sampled_from([Named("Q", (8,)), Named("GL", (2, 3)),
+                     Named("SL", (2, 5)), Named("U", (3, 2)),
+                     Named("GLZ", (2, 2, 2))]))
+
+
+@st.composite
+def perm_specs(draw):
+    degree = 5 - draw(st.integers(0, 4))
+    gens = draw(st.lists(st.permutations(range(degree)), min_size=1,
+                         max_size=2))
+    return PermSpec(degree, tuple(cycle_label(tuple(g)) for g in gens))
+
+
+@st.composite
+def quotients(draw, base):
+    """base / normal-closure-of(labels) with labels of base's elements, or
+    base itself when base is past SMALL_CAP."""
+    try:
+        labels = evaluate(base, closure_cap=SMALL_CAP).labels
+    except CapExceeded:
+        return base
+    return QuotSpec(base, tuple(draw(st.lists(st.sampled_from(labels),
+                                              min_size=1, max_size=2))))
+
+
+ATOMS = st.one_of(NAMED, perm_specs())
+FACTORS = st.one_of(ATOMS, ATOMS.flatmap(quotients))
+
+
+@st.composite
+def specs(draw):
+    """Named families, perm groups, products of up to three factors (a
+    factor may be a quotient), and quotients of all of these."""
+    factors = draw(st.lists(FACTORS, min_size=1, max_size=3))
+    node = factors[0] if len(factors) == 1 else ProdSpec(tuple(factors))
+    return draw(quotients(node)) if draw(st.booleans()) else node
+
+
+@settings(SETTINGS, max_examples=100)
+@given(specs())
+def test_unparse_parse_round_trip(node):
+    text = unparse(node)
+    assert unparse(parse_group_spec(text)) == text
+    assert parse_group_spec(text) == node
+
+
+@settings(SETTINGS, max_examples=150)
+@given(specs(), st.data())
+def test_corrupted_specs_fail_with_toolkit_errors_only(node, data):
+    """One character deleted, replaced or inserted: the spec parses, or
+    fails with a positioned GroupSpecError and CLI exit code 2; evaluating
+    what parses raises nothing but a ToolkitError."""
+    text = unparse(node)
+    i = data.draw(st.integers(0, len(text) - 1))
+    ch = data.draw(st.sampled_from("0123456789()[],;x/ -CDSAQGLUZFperm"))
+    bad = data.draw(st.sampled_from([text[:i] + text[i + 1:],
+                                     text[:i] + ch + text[i + 1:],
+                                     text[:i] + ch + text[i:]]))
+    try:
+        mutated = parse_group_spec(bad)
+    except GroupSpecError as exc:
+        assert 1 <= exc.line and 1 <= exc.column <= len(bad) + 1
+        assert f"(line {exc.line}, column {exc.column})" in str(exc)
+        assert run(["length", bad])[1] == 2
+        return
+    try:
+        evaluate(mutated, closure_cap=SMALL_CAP)
+    except ToolkitError:
+        pass
