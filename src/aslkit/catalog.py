@@ -57,18 +57,15 @@ def _catalog_at(cap):
     return tuple(entries)
 
 
-def catalog(max_order=200, products=True):
-    """Catalog entries with order <= max_order, products included on request.
+def catalog(max_order=200):
+    """Catalog entries with order <= max_order, pairwise products included.
 
     Products run over unordered pairs of base entries (self-pairs allowed).
     Smaller requests reuse the groups built for the standard cap of 200, so
     per-group caches are shared across suites.
     """
     cap = max(max_order, 200)
-    entries = [(n, g) for n, g in _catalog_at(cap) if g.order <= max_order]
-    if not products:
-        entries = [(n, g) for n, g in entries if " x " not in n]
-    return tuple(entries)
+    return tuple((n, g) for n, g in _catalog_at(cap) if g.order <= max_order)
 
 
 @lru_cache(maxsize=None)
@@ -77,21 +74,14 @@ def transitive_catalog(max_degree=6):
     degree d <= max_degree, as (name, group, degree) triples."""
     out = []
     for d in range(1, max_degree + 1):
-        if d >= 1:
-            out.append((f"C{d}", _regular_cyclic(d), d))
+        out.append((f"C{d}", _regular_cyclic(d), d))
         out.append((f"S{d}", symmetric_group(d), d))
         if d >= 3:
             out.append((f"A{d}", alternating_group(d), d))
             out.append((f"D{d}", dihedral_group(d), d))
     out.append(("V4", klein_group(), 4))
-    seen = set()
-    uniq = []
-    for name, g, d in out:
-        if (name, d) not in seen:
-            seen.add((name, d))
-            uniq.append((name, g, d))
-    uniq.sort(key=lambda t: (t[2], t[0]))
-    return tuple(uniq)
+    out.sort(key=lambda t: (t[2], t[0]))
+    return tuple(out)
 
 
 def _regular_cyclic(n):

@@ -6,8 +6,8 @@ byte-identical bytes. Wall-clock timing appears only in the human-readable
 text, never in the JSON, so reports stay reproducible. Exit codes: 0 pass,
 1 verification failure, 2 usage error, 3 cap exceeded.
 
-The global options --json, --closure-cap and --oracle-cap are accepted
-before or after the subcommand; any other option is a usage error.
+The global options --json and --closure-cap are accepted before or after
+the subcommand; any other option is a usage error.
 """
 
 from __future__ import annotations
@@ -36,7 +36,8 @@ from .series import (
     factor_structure,
     generalized_derived_series,
 )
-from .specparse import group_from_spec, parse_group_spec, resolve_label, unparse
+from .specparse import evaluate, group_from_spec, parse_group_spec, \
+    resolve_label, split_labels, unparse
 from .verify import SUITES, run_all, run_suite
 from .wreath import (
     msigma_hypothesis,
@@ -89,14 +90,12 @@ def _build_parser():
     p.add_argument("--json", action="store_true",
                    help="emit the machine-readable report")
     p.add_argument("--closure-cap", type=int, default=100000)
-    p.add_argument("--oracle-cap", type=int, default=16)
     # the same flags are accepted after the subcommand; SUPPRESS keeps a
     # value given before the subcommand from being overwritten by defaults
     common = _Parser(add_help=False)
     common.add_argument("--json", action="store_true",
                         default=argparse.SUPPRESS)
     common.add_argument("--closure-cap", type=int, default=argparse.SUPPRESS)
-    common.add_argument("--oracle-cap", type=int, default=argparse.SUPPRESS)
     sub = p.add_subparsers(dest="cmd", required=True,
                            parser_class=lambda **kw: _Parser(
                                parents=[common], **kw))
@@ -151,28 +150,8 @@ def _parse_g0(G, text):
     text = text.strip()
     if text in ("1", ""):
         return trivial_subgroup(G)
-    labels = _split_labels(text)
+    labels = split_labels(text)
     return subgroup_generated(G, [resolve_label(G, lab) for lab in labels])
-
-
-def _split_labels(text):
-    labels = []
-    depth = 0
-    buf = []
-    for ch in text:
-        if ch in "([":
-            depth += 1
-        elif ch in ")]":
-            depth -= 1
-        if ch == "," and depth == 0:
-            labels.append("".join(buf).strip())
-            buf = []
-        else:
-            buf.append(ch)
-    tail = "".join(buf).strip()
-    if tail:
-        labels.append(tail)
-    return labels
 
 
 def _load_action(path, A, G0):
@@ -217,25 +196,30 @@ def _factor_json(desc):
 # -- subcommand implementations ------------------------------------------------
 
 
+def _spec_group(args):
+    """Canonical text of args.spec and the group it denotes, parsed once."""
+    node = parse_group_spec(args.spec)
+    return unparse(node), evaluate(node, closure_cap=args.closure_cap)
+
+
 def _cmd_length(args):
-    G = group_from_spec(args.spec, closure_cap=args.closure_cap)
+    spec, G = _spec_group(args)
     lng = abelian_simple_length(G)
-    result = {"spec": unparse(parse_group_spec(args.spec)),
-              "order": G.order, "length": lng}
-    human = f"{result['spec']}: order {G.order}, l = {lng}"
+    result = {"spec": spec, "order": G.order, "length": lng}
+    human = f"{spec}: order {G.order}, l = {lng}"
     return result, human, EXIT_OK
 
 
 def _cmd_series(args):
-    G = group_from_spec(args.spec, closure_cap=args.closure_cap)
+    spec, G = _spec_group(args)
     rep = generalized_derived_series(G)
     result = {
-        "spec": unparse(parse_group_spec(args.spec)),
+        "spec": spec,
         "orders": list(rep.orders()),
         "length": rep.length,
         "factors": [_factor_json(f) for f in rep.factors],
     }
-    lines = [f"{result['spec']}: l = {rep.length}"]
+    lines = [f"{spec}: l = {rep.length}"]
     for i, (t, f) in enumerate(zip(rep.terms, rep.factors)):
         lines.append(f"  term {i}: order {t.order}, factor {f.label()}")
     lines.append(f"  term {len(rep.terms) - 1}: order {rep.terms[-1].order}")
@@ -243,25 +227,24 @@ def _cmd_series(args):
 
 
 def _cmd_normals(args):
-    G = group_from_spec(args.spec, closure_cap=args.closure_cap)
+    spec, G = _spec_group(args)
     lat = all_normal_subgroups(G)
     result = {
-        "spec": unparse(parse_group_spec(args.spec)),
+        "spec": spec,
         "count": len(lat),
         "subgroups": [_subgroup_json(s) for s in lat],
         "inclusion": lat.inclusion_matrix(),
     }
-    human = (f"{result['spec']}: {len(lat)} normal subgroups, orders "
+    human = (f"{spec}: {len(lat)} normal subgroups, orders "
              + ", ".join(str(s.order) for s in lat))
     return result, human, EXIT_OK
 
 
 def _cmd_factors(args):
-    G = group_from_spec(args.spec, closure_cap=args.closure_cap)
+    spec, G = _spec_group(args)
     desc = factor_structure(G)
-    result = {"spec": unparse(parse_group_spec(args.spec)),
-              "factor": _factor_json(desc)}
-    human = f"{result['spec']}: G/D(G) = {desc.label()} (order {desc.order})"
+    result = {"spec": spec, "factor": _factor_json(desc)}
+    human = f"{spec}: G/D(G) = {desc.label()} (order {desc.order})"
     return result, human, EXIT_OK
 
 
@@ -338,16 +321,15 @@ def _cmd_kernelcheck(args):
 
 
 def _cmd_lp(args):
-    G = group_from_spec(args.spec, closure_cap=args.closure_cap)
+    spec, G = _spec_group(args)
     filt = search_lp(G, args.l, args.J)
     if filt is None:
-        result = {"spec": unparse(parse_group_spec(args.spec)),
-                  "found": False}
+        result = {"spec": spec, "found": False}
         return result, "no filtration found; try a larger J", \
             EXIT_VERIFICATION_FAILED
     rep = validate_lp(G, args.l, args.J, filt)
     result = {
-        "spec": unparse(parse_group_spec(args.spec)),
+        "spec": spec,
         "found": True,
         "orders": list(filt.orders()),
         "conditions": {k: bool(v) for k, v in sorted(rep.conditions.items())},
@@ -361,11 +343,9 @@ def _cmd_lp(args):
 
 def _cmd_verify(args):
     if args.suite == "all":
-        results = run_all(max_order=args.max_order,
-                          oracle_cap=args.oracle_cap)
+        results = run_all(max_order=args.max_order)
     else:
-        results = [run_suite(args.suite, max_order=args.max_order,
-                             oracle_cap=args.oracle_cap)]
+        results = [run_suite(args.suite, max_order=args.max_order)]
     suites_json = []
     lines = []
     all_ok = True

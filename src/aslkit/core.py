@@ -52,6 +52,28 @@ def check_order(cap, what, factors):
             raise CapExceeded(f"|{what}| exceeds cap {cap}")
 
 
+def check_degree(cap, degree):
+    """Raise CapExceeded for a permutation degree above cap, before any
+    tuple of that length is made."""
+    if degree > cap:
+        raise CapExceeded(f"permutation degree {degree} exceeds cap {cap}")
+
+
+def factorize(n):
+    """{prime: exponent} of n >= 1 by trial division, primes ascending; the
+    caller bounds n first."""
+    out = {}
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+        d += 1
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
 class Group:
     """A finite group given by an indexed element table and a product oracle.
 
@@ -104,7 +126,7 @@ class Group:
     @property
     def generators(self):
         if self._generators is None:
-            self._generators = greedy_generators_from(self)
+            self._generators = greedy_generators(self, range(self.order))
         return self._generators
 
     @generators.setter
@@ -413,16 +435,6 @@ def greedy_generators(G, members):
     return tuple(cb.gens)
 
 
-def greedy_generators_from(G):
-    """Generating indices for a group whose constructor supplied none."""
-    cb = ClosureBuilder(G)
-    for x in range(G.order):
-        cb.add(x)
-        if len(cb.member_set) == G.order:
-            break
-    return tuple(cb.gens)
-
-
 def _conjugation_closure(G, seed, conjugators, normal):
     """Smallest subgroup containing seed and stable under conjugation by
     the conjugators, which generate the group it is normal in."""
@@ -556,12 +568,6 @@ class Homomorphism:
     def __call__(self, i):
         return self.mapping[i]
 
-    def image(self):
-        return sorted(set(self.mapping))
-
-    def image_subgroup(self):
-        return Subgroup(self.target, set(self.mapping))
-
     def is_surjective(self):
         return len(set(self.mapping)) == self.target.order
 
@@ -574,12 +580,6 @@ class Homomorphism:
         members = [i for i, t in enumerate(self.mapping) if t in sub.member_set]
         normal = True if sub.normal else None
         return Subgroup(self.source, members, normal=normal)
-
-    def compose(self, other):
-        """self after other: other.source -> self.target."""
-        assert other.target is self.source
-        return Homomorphism(other.source, self.target,
-                            [self.mapping[t] for t in other.mapping])
 
     def validate(self):
         """Check the homomorphism property exactly; True/False.
@@ -949,6 +949,7 @@ def group_from_perm_generators(degree, generators, name=None,
     """Permutation group generated by cycle words on {1..degree}."""
     if degree < 1:
         raise MalformedCycle("degree must be positive")
+    check_degree(closure_cap, degree)
     gen_values = [perm_from_cycles(degree, g) for g in generators]
     if name is None:
         name = "perm(" + "; ".join(cycle_label(g) for g in gen_values) + ")"

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 from .core import Group, Subgroup, extend_along_cayley_graph
 from .errors import DimensionTooLarge, NotAnAction, PropositionViolated
+from .matgroups import mat_identity
 from .series import derived_series, generalized_derived_series
 
 VECTOR_ENUM_CAP = 2 ** 20
@@ -88,9 +89,6 @@ class FpSubspace:
     def contains(self, vec):
         return len(rref(self.p, (*self.basis, vec))) == self.dim
 
-    def is_zero(self):
-        return not self.basis
-
     def contains_space(self, other):
         return all(self.contains(b) for b in other.basis)
 
@@ -131,10 +129,8 @@ class LinearAction:
             if len(rref(p, M)) != dim:
                 raise NotAnAction("generator matrix is singular")
             norm.append(M)
-        ident = tuple(tuple(1 if i == j else 0 for j in range(dim))
-                      for i in range(dim))
         mats = extend_along_cayley_graph(
-            actor, norm, lambda A, B: _mat_mul(p, A, B), ident)
+            actor, norm, lambda A, B: _mat_mul(p, A, B), mat_identity(dim))
         if mats is None:
             raise NotAnAction("matrices do not define a representation")
         self.matrices = tuple(mats)
@@ -305,9 +301,7 @@ def v_chain(G, X: GSet, p, depth, set_cap=SET_SIZE_CAP):
     if X.size > set_cap:
         raise DimensionTooLarge(f"|X| = {X.size} exceeds cap {set_cap}")
     series = generalized_derived_series(G)
-    chain = [FpSubspace(p, X.size,
-                        tuple(tuple(1 if i == j else 0 for j in range(X.size))
-                              for i in range(X.size)))]
+    chain = [FpSubspace(p, X.size, mat_identity(X.size))]
     for i in range(depth):
         term = series.terms[i] if i < len(series.terms) else series.terms[-1]
         perms = [X._perms[g] for g in term.gens()]

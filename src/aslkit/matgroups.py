@@ -17,6 +17,7 @@ from .core import (
     Subgroup,
     Homomorphism,
     check_order,
+    factorize,
     generate_group,
     is_isomorphic,
     local_quotient,
@@ -33,38 +34,21 @@ from .errors import (
     UnknownConstructor,
 )
 from .families import alternating_group
-from .normal import (
-    _is_prime,
-    all_normal_subgroups,
-    simple_factor_orders,
-)
+from .normal import all_normal_subgroups, simple_factor_orders
 from .series import abelian_simple_length
 
 FIELD_SIZE_CAP = 64
-
-
-def _factor(n):
-    out = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
 
 
 class PrimePowerField:
     """GF(q) for q = p^e with table-based arithmetic (q <= FIELD_SIZE_CAP)."""
 
     def __init__(self, q):
-        fac = _factor(q)
-        if len(fac) != 1:
-            raise UnknownConstructor(f"{q} is not a prime power")
         if q > FIELD_SIZE_CAP:
             raise CapExceeded(f"field size {q} exceeds cap {FIELD_SIZE_CAP}")
+        fac = factorize(q)
+        if len(fac) != 1:
+            raise UnknownConstructor(f"{q} is not a prime power")
         (p, e), = fac.items()
         self.p, self.e, self.size = p, e, q
         self.name = f"F{q}"
@@ -172,9 +156,6 @@ class PrimePowerField:
     def add(self, a, b):
         return self._add[a][b]
 
-    def neg(self, a):
-        return self.sub(0, a)
-
     def sub(self, a, b):
         nb = next(x for x in range(self.size) if self._add[b][x] == 0)
         return self._add[a][nb]
@@ -216,7 +197,6 @@ class ResidueRing:
     def __init__(self, m):
         self.size = m
         self.name = f"Z{m}"
-        fac = _factor(m)
         self.characteristic = m
 
     def add(self, a, b):
@@ -224,9 +204,6 @@ class ResidueRing:
 
     def sub(self, a, b):
         return (a - b) % self.size
-
-    def neg(self, a):
-        return (-a) % self.size
 
     def mul(self, a, b):
         return (a * b) % self.size
@@ -245,8 +222,7 @@ class ResidueRing:
     def unit_group_generators(self):
         """Generators of (Z/m)^* for m = prime power."""
         m = self.size
-        fac = _factor(m)
-        (ell, k), = fac.items()
+        (ell, k), = factorize(m).items()
         if m <= 2:
             return []
         if ell == 2:
@@ -273,7 +249,14 @@ class ResidueRing:
 
 
 def mat_identity(n):
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+    return tuple((0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n))
+
+
+def elementary_matrix(n, i, j, a):
+    """The n x n identity matrix with entry (i, j) set to a."""
+    M = [list(row) for row in mat_identity(n)]
+    M[i][j] = a
+    return tuple(map(tuple, M))
 
 
 def mat_mul(ring, A, B):
@@ -358,18 +341,13 @@ def _transvection_gens(n, ring):
         for i in range(n):
             for j in range(n):
                 if i != j:
-                    M = [[1 if r == c else 0 for c in range(n)]
-                         for r in range(n)]
-                    M[i][j] = a
-                    gens.append(tuple(tuple(r) for r in M))
+                    gens.append(elementary_matrix(n, i, j, a))
     return gens
 
 
 def _diag_unit(n, u):
-    M = [[1 if r == c else 0 for c in range(n)] for r in range(n)]
-    if n:  # GL of dimension 0 is trivial
-        M[0][0] = u
-    return tuple(tuple(r) for r in M)
+    # GL of dimension 0 is trivial
+    return elementary_matrix(n, 0, 0, u) if n else mat_identity(0)
 
 
 def gl_group(n, q, closure_cap=CLOSURE_CAP):
@@ -393,16 +371,12 @@ def sl_group(n, q, closure_cap=CLOSURE_CAP):
 
 def unitriangular_group(n, p, closure_cap=CLOSURE_CAP):
     """Upper unitriangular U(n, p); order p^(n(n-1)/2)."""
-    if not _is_prime(p):
+    F = PrimePowerField(p)  # compares p with the field cap before factoring
+    if F.e != 1:
         raise UnknownConstructor(f"U({n},{p}) needs a prime")
     check_order(closure_cap, f"U({n},{p})",
                 (p for _ in range(n * (n - 1) // 2)))
-    F = PrimePowerField(p)
-    gens = []
-    for i in range(n - 1):
-        M = [[1 if r == c else 0 for c in range(n)] for r in range(n)]
-        M[i][i + 1] = 1
-        gens.append(tuple(tuple(r) for r in M))
+    gens = [elementary_matrix(n, i, i + 1, 1) for i in range(n - 1)]
     spec = MatrixGroupSpec(n, F, tuple(gens))
     G = matrix_group(spec, name=f"U({n},{p})", closure_cap=closure_cap)
     assert G.order == p ** (n * (n - 1) // 2)
@@ -411,7 +385,9 @@ def unitriangular_group(n, p, closure_cap=CLOSURE_CAP):
 
 def glz_group(n, ell, k, closure_cap=CLOSURE_CAP):
     """GL(n, Z/ell^k) from transvections plus diagonal unit generators."""
-    if not _is_prime(ell):
+    if ell > closure_cap:  # before trial division; |Z/ell^k| >= ell
+        raise CapExceeded(f"modulus {ell} exceeds cap {closure_cap}")
+    if factorize(ell) != {ell: 1}:
         raise UnknownConstructor(f"GLZ needs a prime, got {ell}")
     if k < 1:
         raise UnknownConstructor(f"GLZ needs an exponent k >= 1, got {k}")

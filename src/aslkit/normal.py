@@ -26,6 +26,7 @@ from .core import (
     class_index_of,
     commutator_subgroup,
     conjugacy_classes,
+    factorize,
     full_subgroup,
     is_abelian,
     product_embedding,
@@ -199,7 +200,7 @@ def is_simple(G):
     if flag is None:
         der = commutator_subgroup(G)
         if der.order == 1:
-            flag = _is_prime(G.order)
+            flag = factorize(G.order) == {G.order: 1}
         elif der.order < G.order:
             flag = False
         else:
@@ -226,10 +227,6 @@ def simple_factor_orders(G):
     if math.prod(s.order for s in minimal) != G.order:
         return None
     return tuple(sorted(s.order for s in minimal))
-
-
-def _is_prime(n):
-    return n > 1 and all(n % d for d in range(2, math.isqrt(n) + 1))
 
 
 def melnikov_subgroup(G):

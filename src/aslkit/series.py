@@ -39,6 +39,7 @@ from .core import (
     Subgroup,
     center,
     commutator_subgroup,
+    factorize,
     full_subgroup,
     identity_hom,
     is_abelian,
@@ -113,9 +114,8 @@ def abelian_invariants(H):
     n = H.order
     if n == 1:
         return ()
-    primes = _prime_factors(n)
     primary = {}
-    for p in primes:
+    for p in factorize(n):
         # c_j = number of members x with x^(p^j) = identity
         counts = [1]
         image = H.members
@@ -165,20 +165,6 @@ def _int_log(n, p):
         n //= p
         e += 1
     return e
-
-
-def _prime_factors(n):
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 # -- ordinary derived series ----------------------------------------------------

@@ -31,7 +31,9 @@ from dataclasses import dataclass
 
 from .core import (
     CLOSURE_CAP,
+    check_degree,
     direct_product_many,
+    factorize,
     group_from_perm_generators,
     normal_closure,
     perm_from_cycles,
@@ -39,6 +41,7 @@ from .core import (
     quotient,
 )
 from .errors import (
+    CapExceeded,
     GroupSpecError,
     MalformedCycle,
     MalformedCycleInSpec,
@@ -55,7 +58,6 @@ from .matgroups import (
     MatrixGroupSpec,
     PrimePowerField,
     ResidueRing,
-    _factor,
     gl_group,
     glz_group,
     mat_label,
@@ -183,22 +185,35 @@ def _parse_spec(cur):
 
 
 def _parse_raw_labels(cur):
-    """Raw label chunks up to the matching ')', split on top-level commas."""
-    labels = []
-    depth = 0
-    buf = []
+    """Raw label chunks up to the matching ')'."""
+    start, depth = cur.pos, 0
     while True:
         if cur.pos >= len(cur.text):
             cur.error("unterminated normal-closure-of(...)")
         ch = cur.text[cur.pos]
         cur.pos += 1
+        if ch == ")" and depth == 0:
+            break
         if ch in "([":
             depth += 1
-        elif ch == "]":
+        elif ch in ")]":
             depth -= 1
-        elif ch == ")":
-            if depth == 0:
-                break
+    labels = split_labels(cur.text[start:cur.pos - 1])
+    if not labels:
+        cur.error("normal-closure-of needs at least one element label")
+    return labels
+
+
+def split_labels(text):
+    """Element labels separated by commas outside parentheses and brackets;
+    an empty last label is dropped."""
+    labels = []
+    depth = 0
+    buf = []
+    for ch in text:
+        if ch in "([":
+            depth += 1
+        elif ch in ")]":
             depth -= 1
         if ch == "," and depth == 0:
             labels.append("".join(buf).strip())
@@ -208,8 +223,6 @@ def _parse_raw_labels(cur):
     tail = "".join(buf).strip()
     if tail:
         labels.append(tail)
-    if not labels:
-        cur.error("normal-closure-of needs at least one element label")
     return labels
 
 
@@ -255,15 +268,16 @@ def _parse_atom(cur):
     if m and m.group(1) in ("C", "D", "S", "A", "Q"):
         letter = m.group(1)
         num = cur.to_int(m.group(2), cur.pos - len(m.group(2)))
-        if letter == "Q" and num != 8:
-            raise UnknownConstructor(f"unknown constructor {name!r}")
-        return Named(letter, (num,))
-    raise UnknownConstructor(f"unknown constructor {name!r}")
+        if letter != "Q" or num == 8:
+            return Named(letter, (num,))
+    raise UnknownConstructor(f"unknown constructor {name!r}",
+                             *cur._linecol(start))
 
 
 def _parse_perm(cur):
     cur.eat("(")
     degree = cur.integer()
+    check_degree(CLOSURE_CAP, degree)  # the cycle words are made at degree
     cur.eat(";")
     words = []
     while True:
@@ -387,7 +401,7 @@ def evaluate(node, closure_cap=CLOSURE_CAP):
             node.degree, node.cycles, closure_cap=closure_cap,
             name=unparse(node))
     if isinstance(node, MatSpec):
-        ring = _eval_ring(node.ring)
+        ring = _eval_ring(node.ring, closure_cap)
         n = len(node.matrices[0])
         spec = MatrixGroupSpec(n, ring, node.matrices)
         return matrix_group(spec, name=unparse(node),
@@ -427,12 +441,13 @@ def _eval_named(node, closure_cap):
     raise UnknownConstructor(f"unknown constructor {name!r}")
 
 
-def _eval_ring(token):
+def _eval_ring(token, closure_cap):
     kind, size = token[0], int(token[1:])
     if kind == "F":
         return PrimePowerField(size)
-    fac = _factor(size)
-    if len(fac) != 1:
+    if size > closure_cap:
+        raise CapExceeded(f"residue modulus {size} exceeds cap {closure_cap}")
+    if len(factorize(size)) != 1:
         raise UnknownConstructor(
             f"Z{size}: residue rings must have prime-power modulus")
     return ResidueRing(size)

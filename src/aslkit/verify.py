@@ -1,9 +1,12 @@
 """Named verification suites over the group catalog.
 
-Each suite checks one structural statement on concrete groups and returns
-its cases sorted by case id. Cases run one after another in the calling
-thread. They share the unsynchronized per-group memos and the catalog cache,
-and under the interpreter lock pure-Python cases gain nothing from a pool.
+`SUITES`, in `verify all` order, holds each suite's claim and the function
+that turns --max-order into its (case id, check) jobs: `_sweep` declares a
+catalog sweep by a per-group check and an order cap that clamps
+--max-order, and `_fixed` a suite of fixed cases that ignores it. Cases run
+one after another in the calling thread. They share the unsynchronized
+per-group memos and the catalog cache, and under the interpreter lock
+pure-Python cases gain nothing from a pool.
 """
 
 from __future__ import annotations
@@ -12,12 +15,14 @@ import gc
 import math
 import time
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .core import (
     GroupAction,
     Homomorphism,
     Subgroup,
+    commutator_subgroup,
+    conjugacy_classes,
     direct_product_many,
     fiber_product,
     find_isomorphism,
@@ -36,8 +41,8 @@ from .families import (
     quaternion_group,
     symmetric_group,
 )
-from .fpmod import LinearAction, as_group_action, coset_space, orbit_hypothesis, \
-    unipotent_derived_length, v_chain
+from .fpmod import GSet, LinearAction, as_group_action, coset_space, \
+    orbit_hypothesis, unipotent_derived_length, v_chain
 from .matgroups import (
     corollary_decomposition,
     gl_group,
@@ -49,7 +54,8 @@ from .matgroups import (
     validate_lp,
 )
 from .normal import all_normal_subgroups, product_normal_decomposition
-from .oracle import oracle_D, oracle_length, oracle_normal_subgroups
+from .oracle import ORACLE_CLASS_CAP, oracle_D, oracle_length, \
+    oracle_normal_subgroups
 from .series import (
     abelian_simple_length,
     derived_series,
@@ -125,40 +131,48 @@ def _run_cases(claim, suite, jobs):
     return SuiteResult(suite, claim, cases)
 
 
+def _sweep(check, cap=None, select=None):
+    """Jobs of a catalog sweep: check(g) for every catalog group g of order
+    at most --max-order, clamped to cap, that select(g) keeps."""
+    def jobs(max_order):
+        bound = max_order if cap is None else min(max_order, cap)
+        return [(name, partial(check, g)) for name, g in catalog(bound)
+                if select is None or select(g)]
+    return jobs
+
+
+def _fixed(cases):
+    """Jobs of a suite of fixed cases, listed by cases()."""
+    return lambda max_order: cases()
+
+
+def _cyclic_subgroup(G, k, normal=None):
+    """The subgroup generated by the first element of order k."""
+    x = next(i for i in range(G.order) if G.element_order(i) == k)
+    return subgroup_generated(G, [x], normal=normal)
+
+
 # -- individual suites -----------------------------------------------------------
 
 
-def suite_log_length(max_order=200):
-    claim = "abelian-simple length is at most log2 of the group order"
-    jobs = []
-    for name, g in catalog(max_order):
-        def fn(g=g):
-            lng = abelian_simple_length(g)
-            bound = math.log2(g.order) if g.order > 1 else 0
-            return lng <= bound + 1e-9, f"l={lng} |G|={g.order}"
-        jobs.append((name, fn))
-    return _run_cases(claim, "log-length", jobs)
+def _log_length(g):
+    lng = abelian_simple_length(g)
+    bound = math.log2(g.order) if g.order > 1 else 0
+    return lng <= bound + 1e-9, f"l={lng} |G|={g.order}"
 
 
-def suite_solvable_coincidence(max_order=200):
-    claim = ("for solvable groups the generalized derived series equals "
-             "the derived series term by term")
-    jobs = []
-    for name, g in catalog(max_order):
-        def fn(g=g):
-            der = derived_series(g)
-            if not der.terminates:
-                return True, "not solvable; vacuous"
-            gds = generalized_derived_series(g)
-            same = all(a.member_set == b.member_set
-                       for a, b in zip(der.terms, gds.terms)) and \
-                len(der.terms) == len(gds.terms)
-            return same, f"orders {gds.orders()}"
-        jobs.append((name, fn))
-    return _run_cases(claim, "solvable-coincidence", jobs)
+def _solvable_coincidence(g):
+    der = derived_series(g)
+    if not der.terminates:
+        return True, "not solvable; vacuous"
+    gds = generalized_derived_series(g)
+    same = all(a.member_set == b.member_set
+               for a, b in zip(der.terms, gds.terms)) and \
+        len(der.terms) == len(gds.terms)
+    return same, f"orders {gds.orders()}"
 
 
-def suite_quotient_law(max_order=48):
+def _quotient_law(g):
     """Image law plus the trivial-intersection family law.
 
     The family law is checked on all lattice pairs with trivial intersection
@@ -166,86 +180,66 @@ def suite_quotient_law(max_order=48):
     family with trivial intersection contains a two-step refinement through
     lattice intersections, and quotient lengths never exceed l(G).
     """
-    claim = ("quotient maps send series terms to series terms; l(G) is the "
-             "max of l(G/N) over any trivial-intersection family of normals")
-    jobs = []
-    for name, g in catalog(max_order):
-        def fn(g=g):
-            gds = generalized_derived_series(g)
-            lat = list(all_normal_subgroups(g))
-            lg = gds.length
-            quots = {}
-            for nsub in lat:
-                q, pi = quotient(g, nsub)
-                qser = generalized_derived_series(q)
-                if len(qser.terms) > len(gds.terms):
-                    return False, f"quotient series longer at |N|={nsub.order}"
-                for i, qterm in enumerate(qser.terms):
-                    src = gds.terms[i] if i < len(gds.terms) else gds.terms[-1]
-                    image = {pi.mapping[x] for x in src.members}
-                    if image != qterm.member_set:
-                        return False, f"image law fails at step {i}, |N|={nsub.order}"
-                quots[nsub.member_set] = qser.length
-                if qser.length > lg:
-                    return False, f"l(G/N) > l(G) at |N|={nsub.order}"
-            pair_checked = 0
-            for i, n1 in enumerate(lat):
-                for n2 in lat[i:]:
-                    if len(n1.member_set & n2.member_set) == 1:
-                        pair_checked += 1
-                        want = max(quots[n1.member_set], quots[n2.member_set])
-                        if want != lg:
-                            return False, (f"family law fails on pair "
-                                           f"({n1.order},{n2.order})")
-            proper = [n for n in lat if n.order < g.order]
-            inter = frozenset(range(g.order))
-            for n in proper:
-                inter = inter & n.member_set
-            if len(inter) == 1 and proper:
-                if max(quots[n.member_set] for n in proper) != lg:
-                    return False, "family law fails on the full family"
-            return True, f"{len(lat)} normals, {pair_checked} trivial pairs"
-        jobs.append((name, fn))
-    return _run_cases(claim, "quotient-law", jobs)
+    gds = generalized_derived_series(g)
+    lat = list(all_normal_subgroups(g))
+    lg = gds.length
+    quots = {}
+    for nsub in lat:
+        q, pi = quotient(g, nsub)
+        qser = generalized_derived_series(q)
+        if len(qser.terms) > len(gds.terms):
+            return False, f"quotient series longer at |N|={nsub.order}"
+        for i, qterm in enumerate(qser.terms):
+            src = gds.terms[i] if i < len(gds.terms) else gds.terms[-1]
+            image = {pi.mapping[x] for x in src.members}
+            if image != qterm.member_set:
+                return False, f"image law fails at step {i}, |N|={nsub.order}"
+        quots[nsub.member_set] = qser.length
+        if qser.length > lg:
+            return False, f"l(G/N) > l(G) at |N|={nsub.order}"
+    pair_checked = 0
+    for i, n1 in enumerate(lat):
+        for n2 in lat[i:]:
+            if len(n1.member_set & n2.member_set) == 1:
+                pair_checked += 1
+                want = max(quots[n1.member_set], quots[n2.member_set])
+                if want != lg:
+                    return False, (f"family law fails on pair "
+                                   f"({n1.order},{n2.order})")
+    proper = [n for n in lat if n.order < g.order]
+    inter = frozenset(range(g.order))
+    for n in proper:
+        inter = inter & n.member_set
+    if len(inter) == 1 and proper:
+        if max(quots[n.member_set] for n in proper) != lg:
+            return False, "family law fails on the full family"
+    return True, f"{len(lat)} normals, {pair_checked} trivial pairs"
 
 
-def suite_normal_law(max_order=48):
-    claim = ("series terms of a normal subgroup are contained in the "
-             "group's series terms, so l(N) <= l(G)")
-    jobs = []
-    for name, g in catalog(max_order):
-        def fn(g=g):
-            gds = generalized_derived_series(g)
-            for nsub in all_normal_subgroups(g):
-                ng = nsub.as_group()
-                nser = generalized_derived_series(ng)
-                if nser.length > gds.length:
-                    return False, f"l(N) > l(G) at |N|={nsub.order}"
-                for i, nterm in enumerate(nser.terms):
-                    up = {ng.parent_indices[x] for x in nterm.members}
-                    gterm = gds.terms[i] if i < len(gds.terms) else gds.terms[-1]
-                    if not up <= gterm.member_set:
-                        return False, f"containment fails at step {i}"
-            return True, f"l(G)={gds.length}"
-        jobs.append((name, fn))
-    return _run_cases(claim, "normal-law", jobs)
+def _normal_law(g):
+    gds = generalized_derived_series(g)
+    for nsub in all_normal_subgroups(g):
+        ng = nsub.as_group()
+        nser = generalized_derived_series(ng)
+        if nser.length > gds.length:
+            return False, f"l(N) > l(G) at |N|={nsub.order}"
+        for i, nterm in enumerate(nser.terms):
+            up = {ng.parent_indices[x] for x in nterm.members}
+            gterm = gds.terms[i] if i < len(gds.terms) else gds.terms[-1]
+            if not up <= gterm.member_set:
+                return False, f"containment fails at step {i}"
+    return True, f"l(G)={gds.length}"
 
 
-def suite_extension_law(max_order=48):
-    claim = "l(G) <= l(N) + l(G/N) for every normal subgroup"
-    jobs = []
-    for name, g in catalog(max_order):
-        def fn(g=g):
-            lg = abelian_simple_length(g)
-            for nsub in all_normal_subgroups(g):
-                q, _ = quotient(g, nsub)
-                ln = abelian_simple_length(nsub.as_group())
-                lq = abelian_simple_length(q)
-                if lg > ln + lq:
-                    return False, f"{lg} > {ln}+{lq} at |N|={nsub.order}"
-            return True, f"l(G)={lg}"
-        jobs.append((name, fn))
-    return _run_cases(claim, "extension-law", jobs)
+def _extension_law(g):
+    lg = abelian_simple_length(g)
+    for nsub in all_normal_subgroups(g):
+        q, _ = quotient(g, nsub)
+        ln = abelian_simple_length(nsub.as_group())
+        lq = abelian_simple_length(q)
+        if lg > ln + lq:
+            return False, f"{lg} > {ln}+{lq} at |N|={nsub.order}"
+    return True, f"l(G)={lg}"
 
 
 def _sign_hom(sym, c2):
@@ -300,8 +294,7 @@ def fiber_triples():
                         _mod_hom(cn, ck), _mod_hom(cm, ck)))
 
     d4 = dihedral_group(4)
-    rot = next(i for i in range(8) if d4.element_order(i) == 4)
-    rot_sub = subgroup_generated(d4, [rot], normal=True)
+    rot_sub = _cyclic_subgroup(d4, 4, normal=True)
     k_c2, pi_d4 = quotient(d4, rot_sub)
     triples.append(("D4,D4 over D4/rot", d4, d4, pi_d4, pi_d4))
     iso_c2 = find_isomorphism(c2, k_c2)
@@ -346,23 +339,35 @@ def fiber_triples():
     return triples
 
 
-def suite_fiber_law(max_order=None):
-    claim = "fiber products satisfy l(GxKH) <= max(l(G), l(H))"
-    jobs = []
-    for name, g, h, alpha, beta in fiber_triples():
-        def fn(g=g, h=h, alpha=alpha, beta=beta):
-            fp = fiber_product(alpha, beta)
-            lf = abelian_simple_length(fp)
-            bound = max(abelian_simple_length(g), abelian_simple_length(h))
-            return lf <= bound, f"l={lf} bound={bound} |GxKH|={fp.order}"
-        jobs.append((name, fn))
-    return _run_cases(claim, "fiber-law", jobs)
+def _fiber_cases():
+    def fn(g, h, alpha, beta):
+        fp = fiber_product(alpha, beta)
+        lf = abelian_simple_length(fp)
+        bound = max(abelian_simple_length(g), abelian_simple_length(h))
+        return lf <= bound, f"l={lf} bound={bound} |GxKH|={fp.order}"
+    return [(name, partial(fn, *instance))
+            for name, *instance in fiber_triples()]
 
 
-def suite_product_decomposition(max_order=None):
-    claim = ("every normal subgroup of (abelian) x (nonabelian simples) is "
-             "(N n A) x a subproduct, and the quotient matches the "
-             "complementary structure")
+def _product_decomposition_cases():
+    def fn(a, simples):
+        prod = direct_product_many([a] + simples)
+        lat = all_normal_subgroups(prod)
+        for nsub in lat:
+            ncap_a, jset = product_normal_decomposition(a, simples, nsub)
+            q, _ = quotient(prod, nsub)
+            want = (a.order // ncap_a.order) * math.prod(
+                simples[i].order for i in range(len(simples))
+                if i not in jset)
+            if q.order != want:
+                return False, f"quotient order {q.order} != {want}"
+            desc = factor_descriptor_of(q)
+            want_simple = sorted(simples[i].order
+                                 for i in range(len(simples))
+                                 if i not in jset)
+            if list(desc.simple_orders) != want_simple:
+                return False, "quotient simple part mismatch"
+        return True, f"{len(lat)} normals decomposed"
     families = [
         ("C6 x A5", cyclic_group(6), [alternating_group(5)]),
         ("C2 x A5", cyclic_group(2), [alternating_group(5)]),
@@ -372,28 +377,7 @@ def suite_product_decomposition(max_order=None):
         ("C2 x A5 x A5", cyclic_group(2),
          [alternating_group(5), alternating_group(5)]),
     ]
-    jobs = []
-    for name, a, simples in families:
-        def fn(a=a, simples=simples):
-            prod = direct_product_many([a] + simples)
-            lat = all_normal_subgroups(prod)
-            for nsub in lat:
-                ncap_a, jset = product_normal_decomposition(a, simples, nsub)
-                q, _ = quotient(prod, nsub)
-                want = (a.order // ncap_a.order) * math.prod(
-                    simples[i].order for i in range(len(simples))
-                    if i not in jset)
-                if q.order != want:
-                    return False, f"quotient order {q.order} != {want}"
-                desc = factor_descriptor_of(q)
-                want_simple = sorted(simples[i].order
-                                     for i in range(len(simples))
-                                     if i not in jset)
-                if list(desc.simple_orders) != want_simple:
-                    return False, "quotient simple part mismatch"
-            return True, f"{len(lat)} normals decomposed"
-        jobs.append((name, fn))
-    return _run_cases(claim, "product-decomposition", jobs)
+    return [(name, partial(fn, a, simples)) for name, a, simples in families]
 
 
 def _s3_order2_subgroup():
@@ -409,10 +393,7 @@ def _inversion_action(cn, actor_group):
     return GroupAction(actor_group, cn, apply)
 
 
-def suite_exact_sequence(max_order=None):
-    claim = ("reducing A modulo an invariant normal A0 gives a wreath "
-             "surjection with kernel Ind(A0), and composite quotients "
-             "compose exactly")
+def _exact_sequence_cases():
     jobs = []
 
     def main_case():
@@ -483,12 +464,10 @@ def suite_exact_sequence(max_order=None):
         return hom.kernel().order == 4, "kernel order |A0|^2 = 4"
     jobs.append(("C4/C2 over C2, G0 = 1", small_kernel))
 
-    return _run_cases(claim, "exact-sequence", jobs)
+    return jobs
 
 
-def suite_msigma(max_order=None):
-    claim = ("coset count of G0 in G^(m) G0 above 2^m forces a nontrivial "
-             "element of the (m+1)-st series term inside Ind")
+def _msigma_cases():
     jobs = []
 
     def case_c3():
@@ -505,8 +484,7 @@ def suite_msigma(max_order=None):
 
     def case_a4():
         a4 = alternating_group(4)
-        c3elt = next(i for i in range(12) if a4.element_order(i) == 3)
-        g0 = subgroup_generated(a4, [c3elt])
+        g0 = _cyclic_subgroup(a4, 3)
         w = twisted_wreath_product(cyclic_group(2), a4, g0)
         if w.group.order != 192:
             return False, f"|H| = {w.group.order} != 192"
@@ -521,7 +499,7 @@ def suite_msigma(max_order=None):
         return wit is None and not hyp, "hypothesis false, no witness"
     jobs.append(("A=C2 G=G0=C2 m=0", case_false))
 
-    return _run_cases(claim, "msigma", jobs)
+    return jobs
 
 
 @lru_cache(maxsize=None)
@@ -535,23 +513,17 @@ def _a5_wreath_c2():
 @lru_cache(maxsize=None)
 def _a5_wreath_s3():
     s3 = symmetric_group(3)
-    c3elt = next(i for i in range(6) if s3.element_order(i) == 3)
-    g0 = subgroup_generated(s3, [c3elt])
-    return twisted_wreath_product(alternating_group(5), s3, g0)
+    return twisted_wreath_product(alternating_group(5), s3,
+                                  _cyclic_subgroup(s3, 3))
 
 
-def suite_simple_nonabelian(max_order=None):
-    claim = ("for A a product of copies of one nonabelian simple group, the "
-             "wreath series term is Ind x| (series term of G)")
-    jobs = []
-
+def _simple_nonabelian_cases():
     def big_case():
         w = _a5_wreath_c2()
         series = generalized_derived_series(w.group, max_terms=2)
         h1 = series.terms[1]
         ok = h1.order == 3600 and h1.member_set == w.ind.member_set
         return ok, f"H^(1) order {h1.order}, equals Ind: {ok}"
-    jobs.append(("A=A5 G=C2 G0=1", big_case))
 
     def nontrivial_term_case():
         # [G^(0) G0 : G0] = [S3 : A3] = 2 > 1, so H^(1) = Ind x| G^(1)
@@ -564,38 +536,28 @@ def suite_simple_nonabelian(max_order=None):
                 for s in g1.members}
         ok = h1.member_set == want
         return ok, f"H^(1) = Ind x| G^(1), order {h1.order}"
-    jobs.append(("A=A5 G=S3 G0=A3", nontrivial_term_case))
 
-    return _run_cases(claim, "simple-nonabelian", jobs)
-
-
-def suite_nontrivial_action(max_order=None):
-    claim = ("for a nontrivial irreducible F_p module A of G0, the wreath "
-             "derived subgroup is Ind x| G'")
-    jobs = []
-
-    def case96():
-        s3 = symmetric_group(3)
-        c3elt = next(i for i in range(6) if s3.element_order(i) == 3)
-        g0 = subgroup_generated(s3, [c3elt])
-        lin = LinearAction(g0.as_group(), 2, 2, [((0, 1), (1, 1))])
-        gact = as_group_action(lin)
-        w = twisted_wreath_product(gact.space, s3, g0, gact)
-        if w.group.order != 96:
-            return False, f"|H| = {w.group.order} != 96"
-        from .core import commutator_subgroup
-        hp = commutator_subgroup(w.group)
-        gp = commutator_subgroup(s3)
-        want = {f * s3.order + s for f in range(w.ind_group.order)
-                for s in gp.members}
-        ok = hp.member_set == want
-        return ok, f"|H'| = {hp.order} = |Ind| * |G'| = {16 * gp.order}"
-    jobs.append(("p=2 A=F2^2 G0=C3 G=S3", case96))
-
-    return _run_cases(claim, "nontrivial-action", jobs)
+    return [("A=A5 G=C2 G0=1", big_case),
+            ("A=A5 G=S3 G0=A3", nontrivial_term_case)]
 
 
-def suite_trvrep(max_order=48):
+def _nontrivial_action():
+    s3 = symmetric_group(3)
+    g0 = _cyclic_subgroup(s3, 3)
+    lin = LinearAction(g0.as_group(), 2, 2, [((0, 1), (1, 1))])
+    gact = as_group_action(lin)
+    w = twisted_wreath_product(gact.space, s3, g0, gact)
+    if w.group.order != 96:
+        return False, f"|H| = {w.group.order} != 96"
+    hp = commutator_subgroup(w.group)
+    gp = commutator_subgroup(s3)
+    want = {f * s3.order + s for f in range(w.ind_group.order)
+            for s in gp.members}
+    ok = hp.member_set == want
+    return ok, f"|H'| = {hp.order} = |Ind| * |G'| = {16 * gp.order}"
+
+
+def _trvrep(g):
     """Orbit hypothesis forces a nonzero chain term.
 
     G0 runs over the distinct cyclic subgroups generated by one conjugacy
@@ -603,76 +565,62 @@ def suite_trvrep(max_order=48):
     subgroup enumeration is out of scope, and these already give every orbit
     size pattern the statement quantifies over at this scale.
     """
-    claim = "an orbit of G^(m) larger than 2^m forces V_(m+1) nonzero"
-    jobs = []
-    for name, g in catalog(max_order):
-        def fn(g=g):
-            from .core import conjugacy_classes
-            subs = {frozenset([0]): trivial_subgroup(g)}
-            for cls in conjugacy_classes(g):
-                sub = subgroup_generated(g, [cls[0]])
-                subs.setdefault(sub.member_set, sub)
-            subs.setdefault(frozenset(range(g.order)), full_subgroup(g))
-            checked = 0
-            for sub in subs.values():
-                x = coset_space(g, sub)
-                needed = [m for m in (0, 1) if orbit_hypothesis(g, x, m)]
-                if not needed:
-                    continue
-                for p in (2, 3):
-                    chain = v_chain(g, x, p, max(needed) + 1)
-                    for m in needed:
-                        checked += 1
-                        if chain[m + 1].dim == 0:
-                            return False, (f"V_{m + 1} = 0 with orbit "
-                                           f"hypothesis, |X|={x.size}, p={p}")
-            return True, f"{checked} hypothesis instances"
-        jobs.append((name, fn))
-
-    def fixed_dims():
-        c2 = cyclic_group(2)
-        x2 = coset_space(c2, trivial_subgroup(c2))
-        dims = [v.dim for v in v_chain(c2, x2, 2, 2)]
-        if dims != [2, 1, 0]:
-            return False, f"C2 dims {dims}"
-        c1 = cyclic_group(1)
-        from .fpmod import GSet
-        x3 = GSet(c1, 3, [])
-        if [v.dim for v in v_chain(c1, x3, 2, 1)] != [3, 0]:
-            return False, "trivial group dims"
-        a4 = alternating_group(4)
-        c3elt = next(i for i in range(12) if a4.element_order(i) == 3)
-        g0 = subgroup_generated(a4, [c3elt])
-        x4 = coset_space(a4, g0)
-        chain = v_chain(a4, x4, 2, 2)
-        if chain[2].dim == 0:
-            return False, "A4 on A4/C3: V_2 = 0"
-        return True, "fixed chain examples"
-    jobs.append(("fixed-instances", fixed_dims))
-    return _run_cases(claim, "trvrep", jobs)
+    subs = {frozenset([0]): trivial_subgroup(g)}
+    for cls in conjugacy_classes(g):
+        sub = subgroup_generated(g, [cls[0]])
+        subs.setdefault(sub.member_set, sub)
+    subs.setdefault(frozenset(range(g.order)), full_subgroup(g))
+    checked = 0
+    for sub in subs.values():
+        x = coset_space(g, sub)
+        needed = [m for m in (0, 1) if orbit_hypothesis(g, x, m)]
+        if not needed:
+            continue
+        for p in (2, 3):
+            chain = v_chain(g, x, p, max(needed) + 1)
+            for m in needed:
+                checked += 1
+                if chain[m + 1].dim == 0:
+                    return False, (f"V_{m + 1} = 0 with orbit "
+                                   f"hypothesis, |X|={x.size}, p={p}")
+    return True, f"{checked} hypothesis instances"
 
 
-def suite_kernel(max_order=None):
-    claim = ("the kernel of entrywise reduction GL_n(Z/l^k) -> GL_n(Z/l) "
-             "is an l-group of order l^(n^2 (k-1))")
-    jobs = []
-    for ell in (2, 3):
-        def fn(ell=ell):
-            ker = residue_kernel(2, ell, 2)
-            ok = ker.order == ell ** 4 and is_l_group(ker.as_group(), ell)
-            return ok, f"kernel order {ker.order}"
-        jobs.append((f"n=2 l={ell} k=2", fn))
+def _trvrep_fixed():
+    c2 = cyclic_group(2)
+    x2 = coset_space(c2, trivial_subgroup(c2))
+    dims = [v.dim for v in v_chain(c2, x2, 2, 2)]
+    if dims != [2, 1, 0]:
+        return False, f"C2 dims {dims}"
+    c1 = cyclic_group(1)
+    x3 = GSet(c1, 3, [])
+    if [v.dim for v in v_chain(c1, x3, 2, 1)] != [3, 0]:
+        return False, "trivial group dims"
+    a4 = alternating_group(4)
+    x4 = coset_space(a4, _cyclic_subgroup(a4, 3))
+    chain = v_chain(a4, x4, 2, 2)
+    if chain[2].dim == 0:
+        return False, "A4 on A4/C3: V_2 = 0"
+    return True, "fixed chain examples"
 
-    def k1():
-        ker = residue_kernel(2, 2, 1)
-        return ker.order == 1, "k=1 reduction is the identity"
-    jobs.append(("n=2 l=2 k=1", k1))
-    return _run_cases(claim, "kernel", jobs)
+
+def _trvrep_jobs(max_order):
+    return _sweep(_trvrep, cap=48)(max_order) + \
+        [("fixed-instances", _trvrep_fixed)]
 
 
-def suite_lp(max_order=None):
-    claim = ("filtration search succeeds and validates on the reference "
-             "matrix groups; the residual length obeys log2(J) + 2")
+def _kernel_cases():
+    def fn(ell, k):
+        ker = residue_kernel(2, ell, k)
+        if k == 1:
+            return ker.order == 1, "k=1 reduction is the identity"
+        ok = ker.order == ell ** 4 and is_l_group(ker.as_group(), ell)
+        return ok, f"kernel order {ker.order}"
+    return [(f"n=2 l={ell} k={k}", partial(fn, ell, k))
+            for ell, k in ((2, 2), (3, 2), (2, 1))]
+
+
+def _lp_cases():
     jobs = []
 
     def gl22():
@@ -713,16 +661,14 @@ def suite_lp(max_order=None):
                     f"l = {length} <= 3")
     jobs.append(("SL(2,3) l=3 J=2", sl23))
 
-    return _run_cases(claim, "lp", jobs)
+    return jobs
 
 
 def _det2(M, m):
     return (M[0][0] * M[1][1] - M[0][1] * M[1][0]) % m
 
 
-def suite_sn_bound(max_order=None):
-    claim = ("symmetric groups up to degree 7 have length at most 3; "
-             "transitive degree-d groups have length at most log2(d!)")
+def _sn_bound_cases():
     jobs = []
     for n in range(1, 8):
         def fn(n=n):
@@ -735,97 +681,115 @@ def suite_sn_bound(max_order=None):
             bound = math.log2(math.factorial(d)) if d > 1 else 0
             return lng <= bound + 1e-9, f"l = {lng}, log2({d}!) = {bound:.2f}"
         jobs.append((f"transitive {name} deg {d}", fn))
-    return _run_cases(claim, "sn-bound", jobs)
+    return jobs
 
 
-def suite_unipotent(max_order=None):
-    claim = "unitriangular groups U(n,p) have derived length at most n-1"
-    jobs = []
-    for n in (2, 3, 4):
-        for p in (2, 3, 5):
-            def fn(n=n, p=p):
-                dl = unipotent_derived_length(n, p)
-                return dl <= n - 1, f"derived length {dl}"
-            jobs.append((f"U({n},{p})", fn))
-    return _run_cases(claim, "unipotent", jobs)
+def _unipotent_cases():
+    def fn(n, p):
+        dl = unipotent_derived_length(n, p)
+        return dl <= n - 1, f"derived length {dl}"
+    return [(f"U({n},{p})", partial(fn, n, p))
+            for n in (2, 3, 4) for p in (2, 3, 5)]
 
 
-def suite_oracle_agreement(max_order=100, oracle_cap=16):
+def _oracle_agreement(interior_cap, g):
+    main_lat = sorted((s.order, s.members)
+                      for s in all_normal_subgroups(g))
+    orc_lat = sorted((s.order, s.members)
+                     for s in oracle_normal_subgroups(g))
+    if main_lat != orc_lat:
+        return False, "lattice disagreement"
+    if generalized_derived_subgroup(g).member_set != \
+            oracle_D(g).member_set:
+        return False, "D disagreement"
+    lm = abelian_simple_length(g)
+    lo = oracle_length(g, max_classes=interior_cap)
+    if lm != lo:
+        return False, f"length {lm} != oracle {lo}"
+    return True, f"l = {lm}, {len(main_lat)} normals"
+
+
+def _oracle_jobs(max_order):
     """Groups are selected by the class cap, but the oracle itself runs with
     the cap lifted to the order bound: derived steps of a small-class group
     can have more classes than the group itself (D3 x D7 descends to C21),
     and the pruned enumeration handles them exhaustively either way."""
-    from .core import conjugacy_classes
-    claim = ("join-closure lattices, D, and length agree with the "
-             "definition-direct brute-force oracle")
-    interior_cap = max(oracle_cap, max_order)
-    jobs = []
-    for name, g in catalog(max_order):
-        if len(conjugacy_classes(g)) > oracle_cap:
-            continue
-        def fn(g=g):
-            main_lat = sorted((s.order, s.members)
-                              for s in all_normal_subgroups(g))
-            orc_lat = sorted((s.order, s.members)
-                             for s in oracle_normal_subgroups(g))
-            if main_lat != orc_lat:
-                return False, "lattice disagreement"
-            if generalized_derived_subgroup(g).member_set != \
-                    oracle_D(g).member_set:
-                return False, "D disagreement"
-            lm = abelian_simple_length(g)
-            lo = oracle_length(g, max_classes=interior_cap)
-            if lm != lo:
-                return False, f"length {lm} != oracle {lo}"
-            return True, f"l = {lm}, {len(main_lat)} normals"
-        jobs.append((name, fn))
-    return _run_cases(claim, "oracle-agreement", jobs)
+    max_order = min(max_order, 100)
+    check = partial(_oracle_agreement, max(ORACLE_CLASS_CAP, max_order))
+    return _sweep(check, select=_few_classes)(max_order)
+
+
+def _few_classes(g):
+    return len(conjugacy_classes(g)) <= ORACLE_CLASS_CAP
 
 
 SUITES = {
-    "log-length": suite_log_length,
-    "solvable-coincidence": suite_solvable_coincidence,
-    "quotient-law": suite_quotient_law,
-    "normal-law": suite_normal_law,
-    "fiber-law": suite_fiber_law,
-    "extension-law": suite_extension_law,
-    "product-decomposition": suite_product_decomposition,
-    "exact-sequence": suite_exact_sequence,
-    "msigma": suite_msigma,
-    "simple-nonabelian": suite_simple_nonabelian,
-    "nontrivial-action": suite_nontrivial_action,
-    "trvrep": suite_trvrep,
-    "kernel": suite_kernel,
-    "lp": suite_lp,
-    "sn-bound": suite_sn_bound,
-    "unipotent": suite_unipotent,
-    "oracle-agreement": suite_oracle_agreement,
+    "log-length": (
+        "abelian-simple length is at most log2 of the group order",
+        _sweep(_log_length)),
+    "solvable-coincidence": (
+        "for solvable groups the generalized derived series equals the "
+        "derived series term by term", _sweep(_solvable_coincidence)),
+    "quotient-law": (
+        "quotient maps send series terms to series terms; l(G) is the max of "
+        "l(G/N) over any trivial-intersection family of normals",
+        _sweep(_quotient_law, cap=48)),
+    "normal-law": (
+        "series terms of a normal subgroup are contained in the group's "
+        "series terms, so l(N) <= l(G)", _sweep(_normal_law, cap=48)),
+    "fiber-law": ("fiber products satisfy l(GxKH) <= max(l(G), l(H))",
+                  _fixed(_fiber_cases)),
+    "extension-law": ("l(G) <= l(N) + l(G/N) for every normal subgroup",
+                      _sweep(_extension_law, cap=48)),
+    "product-decomposition": (
+        "every normal subgroup of (abelian) x (nonabelian simples) is "
+        "(N n A) x a subproduct, and the quotient matches the complementary "
+        "structure", _fixed(_product_decomposition_cases)),
+    "exact-sequence": (
+        "reducing A modulo an invariant normal A0 gives a wreath surjection "
+        "with kernel Ind(A0), and composite quotients compose exactly",
+        _fixed(_exact_sequence_cases)),
+    "msigma": (
+        "coset count of G0 in G^(m) G0 above 2^m forces a nontrivial element "
+        "of the (m+1)-st series term inside Ind", _fixed(_msigma_cases)),
+    "simple-nonabelian": (
+        "for A a product of copies of one nonabelian simple group, the "
+        "wreath series term is Ind x| (series term of G)",
+        _fixed(_simple_nonabelian_cases)),
+    "nontrivial-action": (
+        "for a nontrivial irreducible F_p module A of G0, the wreath derived "
+        "subgroup is Ind x| G'",
+        _fixed(lambda: [("p=2 A=F2^2 G0=C3 G=S3", _nontrivial_action)])),
+    "trvrep": ("an orbit of G^(m) larger than 2^m forces V_(m+1) nonzero",
+               _trvrep_jobs),
+    "kernel": (
+        "the kernel of entrywise reduction GL_n(Z/l^k) -> GL_n(Z/l) is an "
+        "l-group of order l^(n^2 (k-1))", _fixed(_kernel_cases)),
+    "lp": (
+        "filtration search succeeds and validates on the reference matrix "
+        "groups; the residual length obeys log2(J) + 2", _fixed(_lp_cases)),
+    "sn-bound": (
+        "symmetric groups up to degree 7 have length at most 3; transitive "
+        "degree-d groups have length at most log2(d!)",
+        _fixed(_sn_bound_cases)),
+    "unipotent": (
+        "unitriangular groups U(n,p) have derived length at most n-1",
+        _fixed(_unipotent_cases)),
+    "oracle-agreement": (
+        "join-closure lattices, D, and length agree with the "
+        "definition-direct brute-force oracle", _oracle_jobs),
 }
 
-# suites whose catalog sweep honors --max-order
-_MAX_ORDER_SUITES = {
-    "log-length": None, "solvable-coincidence": None,
-    "quotient-law": 48, "normal-law": 48, "extension-law": 48,
-    "trvrep": 48, "oracle-agreement": 100,
-}
 
-
-def run_suite(name, max_order=200, oracle_cap=16):
+def run_suite(name, max_order=200):
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}")
-    fn = SUITES[name]
-    kwargs = {}
-    if name in _MAX_ORDER_SUITES:
-        cap = _MAX_ORDER_SUITES[name]
-        kwargs["max_order"] = max_order if cap is None else min(max_order, cap)
-    if name == "oracle-agreement":
-        kwargs["oracle_cap"] = oracle_cap
+    claim, jobs = SUITES[name]
     t0 = time.monotonic()
-    res = fn(**kwargs)
+    res = _run_cases(claim, name, jobs(max_order))
     res.elapsed = time.monotonic() - t0
     return res
 
 
-def run_all(max_order=200, oracle_cap=16):
-    return [run_suite(name, max_order=max_order, oracle_cap=oracle_cap)
-            for name in SUITES]
+def run_all(max_order=200):
+    return [run_suite(name, max_order=max_order) for name in SUITES]

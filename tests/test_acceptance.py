@@ -5,6 +5,7 @@ brute-force oracle before being frozen here; the tests assert the main path
 against the oracle first and the frozen constant second.
 """
 
+import hashlib
 import json
 import math
 import os
@@ -179,7 +180,10 @@ def test_criterion_13_determinism():
     and dict ordering can make the two agree by accident. The full suite
     list runs both times; the catalog sweep is capped at order 64 to keep
     the double execution quick (the fixed-instance suites do not depend on
-    the cap at all).
+    the cap at all). The bytes are also pinned by their sha256, so a change
+    to any of the 17 suites' claims, case ids, details or order clamps
+    shows here. The command echo is part of the bytes, so the digest
+    belongs to this argv; it was recorded on CPython 3.11.
     """
     argv = ["verify", "all", "--max-order", "64", "--json"]
     report, code = run(argv)
@@ -196,7 +200,10 @@ def test_criterion_13_determinism():
                           check=True)
     payload = json.loads(first)
     suites = [s["suite"] for s in payload["result"]["suites"]]
-    ok = first == cold.stdout and len(suites) == 17
+    digest = hashlib.sha256(first.encode()).hexdigest()
+    ok = first == cold.stdout and len(suites) == 17 and digest == \
+        "28fdb8be624e285c8feb21575a1d659339a75ed977cc812ffa1ad39731ad4848"
     _report(13, ok,
             f"{len(suites)} suites, identical bytes in process and in a "
-            f"cold process under PYTHONHASHSEED={env['PYTHONHASHSEED']}")
+            f"cold process under PYTHONHASHSEED={env['PYTHONHASHSEED']}, "
+            f"sha256 {digest}")

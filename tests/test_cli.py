@@ -125,6 +125,8 @@ def test_cap_exceeded_exit_3():
     assert code == 3
 
 
+PRIME = "100000000000000000039"  # 10^20 + 39, too large to trial-divide
+
 OVERSIZED = {
     "GLZ(92,3,2)": (3, "|GL(92, Z/3^2)| exceeds cap 100000"),
     "C<5000 nines>": (2, "integer of 5000 digits is too long "
@@ -137,15 +139,24 @@ OVERSIZED = {
     "A99": (3, "|A99| exceeds cap"),
     "U(200,2)": (3, "|U(200,2)| exceeds cap"),
     "C2 x <15000 factors>": (3, "|direct product| exceeds cap"),
+    "GL(2,<prime>)": (3, f"field size {PRIME} exceeds cap 64"),
+    "U(2,<prime>)": (3, f"field size {PRIME} exceeds cap 64"),
+    "GLZ(2,<prime>,1)": (3, f"modulus {PRIME} exceeds cap 100000"),
+    "mat(F<prime>; [[1]])": (3, f"field size {PRIME} exceeds cap 64"),
+    "mat(Z<prime>; [[1]])": (3, f"residue modulus {PRIME} exceeds cap"),
+    "perm(1000000; (1 2))": (3, "permutation degree 1000000 exceeds cap"),
+    "C2 x B7": (2, "unknown constructor 'B7' (line 1, column 6)"),
 }
 
 
 @pytest.mark.parametrize("name", OVERSIZED)
 def test_oversized_specs_exit_with_their_codes_at_once(name):
-    """The order is compared with the cap factor by factor before anything
-    is built, and an integer too long to convert is a syntax error."""
+    """The order is compared with the cap factor by factor, and a field
+    size, modulus or permutation degree with its cap, before anything is
+    built or factored; an integer too long to convert and an unknown
+    constructor are syntax errors at their column."""
     spec = name.replace("<5000 nines>", "9" * 5000).replace(
-        " x <15000 factors>", " x C2" * 14999)
+        " x <15000 factors>", " x C2" * 14999).replace("<prime>", PRIME)
     code, message = OVERSIZED[name]
     t0 = time.monotonic()
     payload, got = _json_result(["length", spec])
@@ -158,6 +169,13 @@ def test_dense_cap_is_a_usage_error():
     _, code = run(["--dense-cap", "10", "length", "S4"])
     assert code == 2
     _, code = run(["length", "S4", "--dense-cap", "10"])
+    assert code == 2
+
+
+def test_oracle_cap_is_a_usage_error():
+    _, code = run(["--oracle-cap", "10", "verify", "kernel"])
+    assert code == 2
+    _, code = run(["verify", "kernel", "--oracle-cap", "10"])
     assert code == 2
 
 
