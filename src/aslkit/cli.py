@@ -16,10 +16,9 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
 
 from . import __version__
-from .core import GroupAction, subgroup_generated, trivial_subgroup
+from .core import GroupAction, Record, subgroup_generated, trivial_subgroup
 from .errors import (
     CapExceeded,
     DimensionTooLarge,
@@ -54,13 +53,15 @@ EXIT_USAGE = 2
 EXIT_CAP = 3
 
 
-@dataclass
-class Report:
+class Report(Record):
     """Command echo plus a structured, deterministically ordered result."""
-    command: list
-    result: dict
-    human: str
-    elapsed: float
+    __slots__ = ("command", "result", "human", "elapsed")
+
+    def __init__(self, command, result, human, elapsed):
+        self.command = command
+        self.result = result
+        self.human = human
+        self.elapsed = elapsed
 
     def to_json(self):
         payload = {

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import itertools
 import re
+from operator import attrgetter
 
 from .errors import (
     CapExceeded,
@@ -72,6 +73,59 @@ def factorize(n):
     if n > 1:
         out[n] = out.get(n, 0) + 1
     return out
+
+
+# -- records ------------------------------------------------------------------
+
+
+class Record:
+    """Base of the package's plain records.
+
+    A record lists its fields in `__slots__` and sets them in its own
+    `__init__`. Two records are equal when they are of the same class and
+    their compared fields are equal: all fields, or the names a subclass
+    gives as `class R(Record, compare=(...))`. The repr is
+    `Name(field=value, ...)` over all fields. A mutable record is
+    unhashable.
+
+    Records are not dataclasses: importing `dataclasses` and generating
+    each class's methods through `exec` cost a one-shot CLI query more time
+    than most queries' group work. Records can be weakly referenced, as
+    dataclass instances can.
+    """
+    __slots__ = ("__weakref__",)
+
+    def __init_subclass__(cls, compare=None, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if cls.__slots__:
+            cls._key = attrgetter(*(compare or cls.__slots__))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == self._key(other)
+
+    def __repr__(self):
+        return f"{self.__class__.__qualname__}(" + ", ".join(
+            f"{f}={getattr(self, f)!r}" for f in self.__slots__) + ")"
+
+
+class FrozenRecord(Record):
+    """A record that refuses assignment and hashes by its compared fields.
+    Its `__init__` sets each field with `set_field(self, name, value)`."""
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+
+set_field = object.__setattr__
 
 
 class Group:

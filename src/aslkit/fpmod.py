@@ -15,9 +15,14 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
 
-from .core import Group, Subgroup, extend_along_cayley_graph
+from .core import (
+    FrozenRecord,
+    Group,
+    Subgroup,
+    extend_along_cayley_graph,
+    set_field,
+)
 from .errors import DimensionTooLarge, NotAnAction, PropositionViolated
 from .matgroups import mat_identity
 from .series import derived_series, generalized_derived_series
@@ -71,12 +76,14 @@ def rref(p, rows):
     return _canonical(basis)
 
 
-@dataclass(frozen=True)
-class FpSubspace:
+class FpSubspace(FrozenRecord):
     """Subspace of F_p^k in canonical reduced-echelon basis."""
-    p: int
-    ambient_dim: int
-    basis: tuple
+    __slots__ = ("p", "ambient_dim", "basis")
+
+    def __init__(self, p, ambient_dim, basis):
+        set_field(self, "p", p)
+        set_field(self, "ambient_dim", ambient_dim)
+        set_field(self, "basis", basis)
 
     @staticmethod
     def from_vectors(p, ambient_dim, vectors):

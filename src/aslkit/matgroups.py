@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 
 from .core import (
     CLOSURE_CAP,
     Subgroup,
     Homomorphism,
+    Record,
     check_order,
     factorize,
     generate_group,
@@ -306,12 +306,14 @@ def mat_label(A):
         "[" + ", ".join(str(x) for x in row) + "]" for row in A) + "]"
 
 
-@dataclass
-class MatrixGroupSpec:
+class MatrixGroupSpec(Record):
     """Dimension, ring, and generator matrices for a matrix group."""
-    n: int
-    ring: object
-    generators: tuple
+    __slots__ = ("n", "ring", "generators")
+
+    def __init__(self, n, ring, generators):
+        self.n = n
+        self.ring = ring
+        self.generators = generators
 
 
 def matrix_group(spec: MatrixGroupSpec, name=None, closure_cap=CLOSURE_CAP):
@@ -453,23 +455,27 @@ def is_l_group(G, ell):
 # -- Larsen-Pink filtrations -------------------------------------------------------
 
 
-@dataclass
-class LPFiltration:
+class LPFiltration(Record):
     """Normal chain lambda3 <= lambda2 <= lambda1 inside a finite Lambda."""
-    lambda1: Subgroup
-    lambda2: Subgroup
-    lambda3: Subgroup
-    certificates: dict = field(default_factory=dict)
+    __slots__ = ("lambda1", "lambda2", "lambda3", "certificates")
+
+    def __init__(self, lambda1, lambda2, lambda3):
+        self.lambda1 = lambda1
+        self.lambda2 = lambda2
+        self.lambda3 = lambda3
+        self.certificates = {}
 
     def orders(self):
         return (self.lambda1.order, self.lambda2.order, self.lambda3.order)
 
 
-@dataclass
-class LPValidation:
-    ok: bool
-    conditions: dict
-    notes: tuple
+class LPValidation(Record):
+    __slots__ = ("ok", "conditions", "notes")
+
+    def __init__(self, ok, conditions, notes):
+        self.ok = ok
+        self.conditions = conditions
+        self.notes = notes
 
     def __bool__(self):
         return self.ok

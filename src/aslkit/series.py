@@ -32,10 +32,8 @@ with a nontrivial perfect residuum reaches the class layer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .core import (
-    Group,
+    FrozenRecord,
     Subgroup,
     center,
     commutator_subgroup,
@@ -45,6 +43,7 @@ from .core import (
     is_abelian,
     local_quotient,
     quotient,
+    set_field,
     subgroup_derived,
 )
 from .errors import DecompositionFailed
@@ -55,16 +54,18 @@ from .normal import (
 )
 
 
-@dataclass(frozen=True)
-class FactorDescriptor:
+class FactorDescriptor(FrozenRecord):
     """Structure of one series factor.
 
     abelian_invariants: invariant factors d_1 | d_2 | ... of the abelian part;
     simple_orders: multiset (sorted) of the nonabelian simple factor orders.
     """
-    order: int
-    abelian_invariants: tuple
-    simple_orders: tuple
+    __slots__ = ("order", "abelian_invariants", "simple_orders")
+
+    def __init__(self, order, abelian_invariants, simple_orders):
+        set_field(self, "order", order)
+        set_field(self, "abelian_invariants", abelian_invariants)
+        set_field(self, "simple_orders", simple_orders)
 
     @property
     def kind(self):
@@ -85,14 +86,21 @@ class FactorDescriptor:
         return " x ".join(parts) if parts else "1"
 
 
-@dataclass(frozen=True)
-class SeriesReport:
-    """Descending chain of subgroups with per-step factor structure."""
-    group: Group
-    terms: tuple          # Subgroups of `group`, first is G itself
-    factors: tuple        # FactorDescriptor per step
-    length: int
-    terminates: bool      # reached the identity subgroup
+class SeriesReport(FrozenRecord):
+    """Descending chain of subgroups with per-step factor structure.
+
+    terms: Subgroups of `group`, the first is G itself;
+    factors: a FactorDescriptor per step;
+    terminates: whether the chain reached the identity subgroup.
+    """
+    __slots__ = ("group", "terms", "factors", "length", "terminates")
+
+    def __init__(self, group, terms, factors, length, terminates):
+        set_field(self, "group", group)
+        set_field(self, "terms", terms)
+        set_field(self, "factors", factors)
+        set_field(self, "length", length)
+        set_field(self, "terminates", terminates)
 
     def orders(self):
         return tuple(t.order for t in self.terms)

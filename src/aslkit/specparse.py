@@ -27,10 +27,10 @@ idempotent.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .core import (
     CLOSURE_CAP,
+    FrozenRecord,
     check_degree,
     direct_product_many,
     factorize,
@@ -39,6 +39,7 @@ from .core import (
     perm_from_cycles,
     cycle_label,
     quotient,
+    set_field,
 )
 from .errors import (
     CapExceeded,
@@ -67,33 +68,49 @@ from .matgroups import (
 )
 
 
-@dataclass(frozen=True)
-class Named:
-    name: str
-    args: tuple
+class Named(FrozenRecord, compare=("name", "args")):
+    """A named constructor. `pos`, the (line, column) where the spec wrote
+    it or None, locates an error raised while the group is built; it is not
+    compared, so parse(unparse(node)) == node."""
+    __slots__ = ("name", "args", "pos")
+
+    def __init__(self, name, args, pos=None):
+        set_field(self, "name", name)
+        set_field(self, "args", args)
+        set_field(self, "pos", pos)
 
 
-@dataclass(frozen=True)
-class PermSpec:
-    degree: int
-    cycles: tuple  # normalized cycle words, one per generator
+class PermSpec(FrozenRecord):
+    __slots__ = ("degree", "cycles")
+
+    def __init__(self, degree, cycles):
+        set_field(self, "degree", degree)
+        set_field(self, "cycles", cycles)  # normalized words, one a generator
 
 
-@dataclass(frozen=True)
-class MatSpec:
-    ring: str
-    matrices: tuple  # tuples of row tuples
+class MatSpec(FrozenRecord, compare=("ring", "matrices")):
+    """A matrix group; `pos` is as in Named."""
+    __slots__ = ("ring", "matrices", "pos")
+
+    def __init__(self, ring, matrices, pos=None):
+        set_field(self, "ring", ring)
+        set_field(self, "matrices", matrices)  # tuples of row tuples
+        set_field(self, "pos", pos)
 
 
-@dataclass(frozen=True)
-class ProdSpec:
-    factors: tuple
+class ProdSpec(FrozenRecord):
+    __slots__ = ("factors",)
+
+    def __init__(self, factors):
+        set_field(self, "factors", factors)
 
 
-@dataclass(frozen=True)
-class QuotSpec:
-    base: object
-    labels: tuple
+class QuotSpec(FrozenRecord):
+    __slots__ = ("base", "labels")
+
+    def __init__(self, base, labels):
+        set_field(self, "base", base)
+        set_field(self, "labels", labels)
 
 
 class _Cursor:
@@ -250,10 +267,11 @@ def _parse_atom(cur):
         return node
     start = cur.pos
     name = cur.name()
+    pos = cur._linecol(start)
     if name == "perm":
         return _parse_perm(cur)
     if name == "mat":
-        return _parse_mat(cur)
+        return _parse_mat(cur, pos)
     if name in ("GL", "SL", "U", "GLZ"):
         cur.eat("(")
         args = [cur.integer()]
@@ -263,20 +281,23 @@ def _parse_atom(cur):
         want = 3 if name == "GLZ" else 2
         if len(args) != want:
             cur.error(f"{name} takes {want} arguments", pos=start)
-        return Named(name, tuple(args))
+        return Named(name, tuple(args), pos)
     m = _NAMED_RE.match(name)
     if m and m.group(1) in ("C", "D", "S", "A", "Q"):
         letter = m.group(1)
         num = cur.to_int(m.group(2), cur.pos - len(m.group(2)))
         if letter != "Q" or num == 8:
-            return Named(letter, (num,))
-    raise UnknownConstructor(f"unknown constructor {name!r}",
-                             *cur._linecol(start))
+            return Named(letter, (num,), pos)
+    raise UnknownConstructor(f"unknown constructor {name!r}", *pos)
 
 
 def _parse_perm(cur):
     cur.eat("(")
+    cur.skip_ws()
+    start = cur.pos
     degree = cur.integer()
+    if degree < 1:
+        cur.error("degree must be positive", pos=start)
     check_degree(CLOSURE_CAP, degree)  # the cycle words are made at degree
     cur.eat(";")
     words = []
@@ -309,7 +330,7 @@ def _parse_cycle_word(cur):
     return "".join(parts)
 
 
-def _parse_mat(cur):
+def _parse_mat(cur, pos):
     cur.eat("(")
     ring = cur.name()
     if not re.match(r"^[FZ]\d+$", ring):
@@ -320,7 +341,7 @@ def _parse_mat(cur):
     while cur.try_eat(","):
         mats.append(_parse_matrix(cur))
     cur.eat(")")
-    return MatSpec(ring, tuple(mats))
+    return MatSpec(ring, tuple(mats), pos)
 
 
 def _parse_matrix(cur):
@@ -393,19 +414,20 @@ def resolve_label(G, label):
 
 
 def evaluate(node, closure_cap=CLOSURE_CAP):
-    """Build the Group a spec node denotes."""
-    if isinstance(node, Named):
-        return _eval_named(node, closure_cap)
+    """Build the Group a spec node denotes. A GroupSpecError raised while a
+    Named or MatSpec node is built is raised again at the node's position."""
+    if isinstance(node, (Named, MatSpec)):
+        build = _eval_named if isinstance(node, Named) else _eval_mat
+        try:
+            return build(node, closure_cap)
+        except GroupSpecError as exc:
+            if node.pos is None:
+                raise
+            raise type(exc)(exc.message, *node.pos) from None
     if isinstance(node, PermSpec):
         return group_from_perm_generators(
             node.degree, node.cycles, closure_cap=closure_cap,
             name=unparse(node))
-    if isinstance(node, MatSpec):
-        ring = _eval_ring(node.ring, closure_cap)
-        n = len(node.matrices[0])
-        spec = MatrixGroupSpec(n, ring, node.matrices)
-        return matrix_group(spec, name=unparse(node),
-                            closure_cap=closure_cap)
     if isinstance(node, ProdSpec):
         factors = [evaluate(f, closure_cap) for f in node.factors]
         return direct_product_many(factors, closure_cap=closure_cap)
@@ -439,6 +461,13 @@ def _eval_named(node, closure_cap):
     if name == "GLZ":
         return glz_group(*args, closure_cap=closure_cap)
     raise UnknownConstructor(f"unknown constructor {name!r}")
+
+
+def _eval_mat(node, closure_cap):
+    ring = _eval_ring(node.ring, closure_cap)
+    n = len(node.matrices[0])
+    spec = MatrixGroupSpec(n, ring, node.matrices)
+    return matrix_group(spec, name=unparse(node), closure_cap=closure_cap)
 
 
 def _eval_ring(token, closure_cap):

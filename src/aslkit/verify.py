@@ -14,12 +14,13 @@ from __future__ import annotations
 import gc
 import math
 import time
-from dataclasses import dataclass, field
 from functools import lru_cache, partial
 
 from .core import (
+    FrozenRecord,
     GroupAction,
     Homomorphism,
+    Record,
     Subgroup,
     commutator_subgroup,
     conjugacy_classes,
@@ -28,6 +29,7 @@ from .core import (
     find_isomorphism,
     full_subgroup,
     quotient,
+    set_field,
     subgroup_generated,
     trivial_subgroup,
 )
@@ -71,19 +73,23 @@ from .wreath import (
 )
 
 
-@dataclass(frozen=True)
-class Case:
-    id: str
-    ok: bool
-    detail: str
+class Case(FrozenRecord):
+    __slots__ = ("id", "ok", "detail")
+
+    def __init__(self, id, ok, detail):
+        set_field(self, "id", id)
+        set_field(self, "ok", ok)
+        set_field(self, "detail", detail)
 
 
-@dataclass
-class SuiteResult:
-    suite: str
-    claim: str
-    cases: list
-    elapsed: float = field(default=0.0, compare=False)  # seconds, whole suite
+class SuiteResult(Record, compare=("suite", "claim", "cases")):
+    __slots__ = ("suite", "claim", "cases", "elapsed")
+
+    def __init__(self, suite, claim, cases, elapsed=0.0):
+        self.suite = suite
+        self.claim = claim
+        self.cases = cases
+        self.elapsed = elapsed  # seconds, whole suite
 
     @property
     def passed(self):

@@ -23,13 +23,13 @@ semidirect convention from the core module.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .core import (
     CLOSURE_CAP,
     Group,
     GroupAction,
     Homomorphism,
+    Record,
     Subgroup,
     check_order,
     full_subgroup,
@@ -108,29 +108,35 @@ def induced_group(A, G, G0: Subgroup, act: GroupAction = None,
     return Ind, g_action
 
 
-@dataclass
-class WreathElement:
+class WreathElement(Record):
     """One element of a twisted wreath product: an induced function plus an
     outer part, with labels resolved against A and G."""
-    fn: dict
-    outer: str
-    index: int
+    __slots__ = ("fn", "outer", "index")
+
+    def __init__(self, fn, outer, index):
+        self.fn = fn
+        self.outer = outer
+        self.index = index
 
 
-@dataclass
-class WreathProduct:
+class WreathProduct(Record):
     """A wr_{G0} G with its distinguished subgroups."""
-    group: Group
-    ind: Subgroup          # the induced normal subgroup
-    ind_g0: Subgroup       # Ind x| G0
-    g_copy: Subgroup       # the complement copy of G
-    fix1: Subgroup         # {f : f(1) = 1} inside Ind
-    a: Group
-    g: Group
-    g0: Subgroup
-    ind_group: Group
-    reps: tuple
-    action: GroupAction    # the action of G on Ind
+    __slots__ = ("group", "ind", "ind_g0", "g_copy", "fix1", "a", "g", "g0",
+                 "ind_group", "reps", "action")
+
+    def __init__(self, group, ind, ind_g0, g_copy, fix1, a, g, g0,
+                 ind_group, reps, action):
+        self.group = group
+        self.ind = ind              # the induced normal subgroup
+        self.ind_g0 = ind_g0        # Ind x| G0
+        self.g_copy = g_copy        # the complement copy of G
+        self.fix1 = fix1            # {f : f(1) = 1} inside Ind
+        self.a = a
+        self.g = g
+        self.g0 = g0
+        self.ind_group = ind_group
+        self.reps = reps
+        self.action = action        # the action of G on Ind
 
     def element(self, w_idx):
         f_idx, s = self.group.value(w_idx)

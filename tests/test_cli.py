@@ -1,15 +1,21 @@
 """CLI subcommands, exit codes, and report determinism."""
 
+import ast
 import json
+import os
 import re
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import pytest
 
+import aslkit
 from aslkit.cli import _build_parser, run
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 
 def _json_result(argv):
@@ -146,6 +152,9 @@ OVERSIZED = {
     "mat(Z<prime>; [[1]])": (3, f"residue modulus {PRIME} exceeds cap"),
     "perm(1000000; (1 2))": (3, "permutation degree 1000000 exceeds cap"),
     "C2 x B7": (2, "unknown constructor 'B7' (line 1, column 6)"),
+    "perm(0; ())": (2, "degree must be positive (line 1, column 6)"),
+    "C2 x GL(2,6)": (2, "6 is not a prime power (line 1, column 6)"),
+    "C2 x GLZ(2,4,1)": (2, "GLZ needs a prime, got 4 (line 1, column 6)"),
 }
 
 
@@ -153,8 +162,10 @@ OVERSIZED = {
 def test_oversized_specs_exit_with_their_codes_at_once(name):
     """The order is compared with the cap factor by factor, and a field
     size, modulus or permutation degree with its cap, before anything is
-    built or factored; an integer too long to convert and an unknown
-    constructor are syntax errors at their column."""
+    built or factored; an integer too long to convert, an unknown
+    constructor and a degree below 1 are syntax errors at their column,
+    and a constructor refusing its arguments reports its factor's
+    column."""
     spec = name.replace("<5000 nines>", "9" * 5000).replace(
         " x <15000 factors>", " x C2" * 14999).replace("<prime>", PRIME)
     code, message = OVERSIZED[name]
@@ -163,6 +174,28 @@ def test_oversized_specs_exit_with_their_codes_at_once(name):
     assert got == code
     assert message in payload["result"]["error"]
     assert time.monotonic() - t0 < 5
+
+
+def test_cold_import_loads_every_layer_and_no_dataclasses():
+    """`import aslkit.cli` stays cheap: no `dataclasses` and no `inspect`
+    (about 12 ms together, before any record class is made), yet every
+    layer the bench tracer wraps is imported eagerly, since the tracer
+    reads them from `sys.modules` after this one import."""
+    tree = ast.parse((ROOT / "bench" / "tracer.py").read_text("utf-8"))
+    layers = next(ast.literal_eval(node.value) for node in tree.body
+                  if isinstance(node, ast.Assign)
+                  and node.targets[0].id == "LAYERS")
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(aslkit.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, aslkit.cli; print(' '.join(sorted(sys.modules)))"],
+        env=env, capture_output=True, text=True, check=True).stdout
+    modules = set(out.split())
+    assert not {"dataclasses", "inspect"} & modules
+    assert {f"aslkit.{layer}" for layer in layers} <= modules
 
 
 def test_dense_cap_is_a_usage_error():

@@ -39,7 +39,11 @@ from aslkit.families import (
     dihedral_group,
     symmetric_group,
 )
+from aslkit.matgroups import LPFiltration
 from aslkit.normal import class_closures
+from aslkit.series import FactorDescriptor
+from aslkit.specparse import Named, PermSpec
+from aslkit.verify import Case, SuiteResult
 
 
 def test_perm_generators_s3():
@@ -351,3 +355,30 @@ def test_semidirect_multiplication_formula():
                     j = w.index_of((n2, h2))
                     want = (c4.mul(apply(n1, h2), n2), c2.mul(h1, h2))
                     assert w.value(w.mul(i, j)) == want
+
+
+def test_records_compare_hash_and_print_like_dataclasses(s3):
+    # equality needs the same class, not only equal fields
+    assert Named("C", (2,)) != PermSpec("C", (2,))
+    assert Named("C", (2,)) == Named("C", (2,), (1, 6))  # pos not compared
+    a = FactorDescriptor(order=6, abelian_invariants=(6,), simple_orders=())
+    b = FactorDescriptor(6, (6,), ())
+    assert a == b and hash(a) == hash(b)
+    assert hash(Named("C", (2,))) == hash(Named("C", (2,), (1, 6)))
+    with pytest.raises(AttributeError):
+        a.order = 2
+    with pytest.raises(AttributeError):
+        del a.order
+    r1 = SuiteResult("s", "claim", [Case("c", True, "")], elapsed=1.5)
+    r2 = SuiteResult("s", "claim", [Case("c", True, "")])
+    assert r1 == r2 and r2.elapsed == 0.0
+    assert r1 != SuiteResult("s", "claim", [Case("c", False, "")])
+    with pytest.raises(TypeError):
+        hash(r1)
+    full = full_subgroup(s3)
+    f1, f2 = LPFiltration(full, full, full), LPFiltration(full, full, full)
+    f1.certificates["x"] = 1
+    assert f2.certificates == {}
+    assert repr(Case("c", True, "d")) == "Case(id='c', ok=True, detail='d')"
+    assert repr(r2) == ("SuiteResult(suite='s', claim='claim', cases="
+                        "[Case(id='c', ok=True, detail='')], elapsed=0.0)")
