@@ -221,7 +221,7 @@ def simple_factor_orders(G):
     minimal = [s for s in nontrivial
                if not any(t.member_set < s.member_set for t in nontrivial)]
     for s in minimal:
-        S = s.as_group()
+        S = s.local_group()
         if is_abelian(S) or not is_simple(S):
             return None
     if math.prod(s.order for s in minimal) != G.order:

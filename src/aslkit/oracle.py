@@ -99,8 +99,17 @@ def _closed_class_masks(G, max_classes):
 
 
 def oracle_normal_subgroups(G, max_classes=ORACLE_CLASS_CAP):
-    """All normal subgroups, by exhaustive class-subset enumeration."""
+    """All normal subgroups, by exhaustive class-subset enumeration, as a
+    tuple sorted by (order, members).
+
+    The tuple is kept on G, since a lattice check, `oracle_D` and the
+    first step of `oracle_length` all ask for the same group's; a later
+    call with a cap below G's class count still raises.
+    """
     classes = conjugacy_classes(G)
+    cached = G._cache.get("oracle_normals")
+    if cached is not None and len(classes) <= max_classes:
+        return cached
     subs = []
     for mask in _closed_class_masks(G, max_classes):
         members = []
@@ -113,6 +122,8 @@ def oracle_normal_subgroups(G, max_classes=ORACLE_CLASS_CAP):
             i += 1
         subs.append(Subgroup(G, members, normal=True))
     subs.sort(key=lambda s: (s.order, s.members))
+    subs = tuple(subs)
+    G._cache["oracle_normals"] = subs
     return subs
 
 

@@ -10,12 +10,19 @@ The series is one chain of Subgroups of G. D of a term is computed in
 `term.local_group()`: G itself for term 0, and for every later term its
 `as_group()`, a materialized subgroup one level deep whose products are
 products in G. D's members map back to G through the term's own member
-list (`term.lift`). Each step's factor is read from the quotient
-`local_quotient(term, next)`, which stays cached on the term's local group,
-so `subnormal_certificate` reuses the report's terms, factors and step
-quotients instead of building a second chain. `verify_certificate` reads
-none of these: it rebuilds every step in a fresh materialization. The
-ordinary derived series shares the factor loop.
+list (`term.lift`).
+
+A report stores the chain only. Each step's factor is read from the
+quotient `local_quotient(term, next)` when the report's `factors` are
+first read, and that quotient stays cached on the term's local group. The
+length and the laws of the paper are statements about terms, so most
+callers never build a step quotient. Reading the factors is also what
+checks that every step is (abelian) x (semisimple): `factor_descriptor_of`
+raises `DecompositionFailed` otherwise. `subnormal_certificate` reuses the
+report's terms, factors and step quotients instead of building a second
+chain. `verify_certificate` reads none of these: it rebuilds every step in
+a fresh materialization. The ordinary derived series shares the factor
+loop.
 
 D0 is computed through the solvable radical R: every maximal normal subgroup
 with nonabelian (simple) quotient contains R, because the image of a solvable
@@ -90,7 +97,9 @@ class SeriesReport(FrozenRecord):
     """Descending chain of subgroups with per-step factor structure.
 
     terms: Subgroups of `group`, the first is G itself;
-    factors: a FactorDescriptor per step;
+    factors: a FactorDescriptor per step. Given as None, they are computed
+      from the step quotients on first read and kept; comparing, hashing
+      or printing a report reads them;
     terminates: whether the chain reached the identity subgroup.
     """
     __slots__ = ("group", "terms", "factors", "length", "terminates")
@@ -98,9 +107,21 @@ class SeriesReport(FrozenRecord):
     def __init__(self, group, terms, factors, length, terminates):
         set_field(self, "group", group)
         set_field(self, "terms", terms)
-        set_field(self, "factors", factors)
+        if factors is not None:
+            set_field(self, "factors", factors)
         set_field(self, "length", length)
         set_field(self, "terminates", terminates)
+
+    def __getattr__(self, name):
+        # reached only for a field never set: the factors, until first read
+        if name != "factors":
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}")
+        terms = self.terms
+        factors = tuple(factor_descriptor_of(local_quotient(a, b)[0])
+                        for a, b in zip(terms, terms[1:]))
+        set_field(self, "factors", factors)
+        return factors
 
     def orders(self):
         return tuple(t.order for t in self.terms)
@@ -197,11 +218,9 @@ def derived_series(G):
 
 
 def _report(G, terms):
-    """SeriesReport of a descending chain of normal Subgroups of G, with
-    each step described from its quotient."""
-    factors = [factor_descriptor_of(local_quotient(a, b)[0])
-               for a, b in zip(terms, terms[1:])]
-    return SeriesReport(G, tuple(terms), tuple(factors),
+    """SeriesReport of a descending chain of normal Subgroups of G, whose
+    steps are described from their quotients when first read."""
+    return SeriesReport(G, tuple(terms), factors=None,
                         length=len(terms) - 1,
                         terminates=terms[-1].order == 1)
 
@@ -323,7 +342,7 @@ def factor_descriptor_of(Q):
     inv = abelian_invariants(z) if z.order > 1 else ()
     simple_orders = ()
     if der.order > 1:
-        simple_orders = simple_factor_orders(der.as_group())
+        simple_orders = simple_factor_orders(der.local_group())
         if simple_orders is None:
             raise DecompositionFailed(
                 f"{Q.name}: the derived subgroup is not a direct product "

@@ -168,10 +168,14 @@ def _log_length(g):
 
 
 def _solvable_coincidence(g):
+    """Also the catalog-wide check that every step of the generalized
+    derived series is (abelian) x (semisimple): reading the factors
+    decomposes each step quotient, for solvable and nonsolvable g alike."""
+    gds = generalized_derived_series(g)
+    gds.factors
     der = derived_series(g)
     if not der.terminates:
         return True, "not solvable; vacuous"
-    gds = generalized_derived_series(g)
     same = all(a.member_set == b.member_set
                for a, b in zip(der.terms, gds.terms)) and \
         len(der.terms) == len(gds.terms)

@@ -263,13 +263,14 @@ def _reachable_groups(root):
 
 
 def test_composed_groups_keep_no_product_memo():
-    """After the series of S3 wr C2 only the leaf groups hold products."""
+    """After the series of S3 wr C2 and its factors only the leaf groups
+    hold products."""
     s3, c2 = symmetric_group(3), cyclic_group(2)
     w = twisted_wreath_product(s3, c2, subgroup_generated(c2, []))
     W = w.group
     assert W.order == 72
     before = [[W.mul(i, j) for j in range(W.order)] for i in range(W.order)]
-    generalized_derived_series(W)
+    generalized_derived_series(W).factors
     after = [[W.mul(i, j) for j in range(W.order)] for i in range(W.order)]
     assert after == before
     groups = _reachable_groups(W)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from aslkit import oracle
 from aslkit.core import direct_product
 from aslkit.errors import TooManyClasses
 from aslkit.families import alternating_group, cyclic_group, symmetric_group
@@ -27,6 +28,28 @@ def test_oracle_class_cap():
         oracle_normal_subgroups(cyclic_group(18))
     # the cap is a parameter, not a hard limit
     assert len(oracle_normal_subgroups(cyclic_group(18), max_classes=18)) == 6
+
+
+def test_oracle_enumerates_each_group_once(monkeypatch):
+    """The lattice, D and the length of one group enumerate its class
+    unions once; a cap below its class count still raises afterwards."""
+    calls = []
+    enumerate_ = oracle._closed_class_masks
+
+    def counting(G, max_classes):
+        calls.append(G.order)
+        return enumerate_(G, max_classes)
+
+    monkeypatch.setattr(oracle, "_closed_class_masks", counting)
+    g = symmetric_group(4)
+    assert oracle_normal_subgroups(g) is oracle_normal_subgroups(g)
+    assert oracle_D(g).order == 12
+    assert oracle_length(g, max_classes=24) == 3
+    assert calls.count(24) == 1
+    c18 = cyclic_group(18)
+    assert len(oracle_normal_subgroups(c18, max_classes=18)) == 6
+    with pytest.raises(TooManyClasses):
+        oracle_normal_subgroups(c18)
 
 
 def test_oracle_d(s3, s4):

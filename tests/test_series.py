@@ -2,6 +2,9 @@
 
 import math
 
+import pytest
+
+from aslkit import series
 from aslkit.catalog import catalog
 from aslkit.core import (
     Group,
@@ -9,8 +12,11 @@ from aslkit.core import (
     direct_product,
     direct_product_many,
     full_subgroup,
+    local_quotient,
     quotient,
+    subgroup_generated,
 )
+from aslkit.errors import DecompositionFailed
 from aslkit.families import (
     alternating_group,
     cyclic_group,
@@ -19,16 +25,26 @@ from aslkit.families import (
 from aslkit.matgroups import sl_group
 from aslkit.oracle import ORACLE_CLASS_CAP, oracle_D
 from aslkit.series import (
+    SeriesReport,
+    _report,
     abelian_invariants,
     abelian_simple_length,
     d0_subgroup,
     derived_series,
+    factor_descriptor_of,
     factor_structure,
     generalized_derived_series,
     generalized_derived_subgroup,
     subnormal_certificate,
     verify_certificate,
 )
+from aslkit.verify import (
+    _extension_law,
+    _normal_law,
+    _quotient_law,
+    _solvable_coincidence,
+)
+from aslkit.wreath import twisted_wreath_product
 
 
 def test_d0_examples(s4, a5):
@@ -179,7 +195,8 @@ def test_certificate_mixed(a5):
 
 def test_certificate_builds_no_group_after_the_series(s4, a5, monkeypatch):
     """The certificate reuses the report's terms, factors and step
-    quotients, so once the series is known it constructs no Group."""
+    quotients, so once the series and its factors are known it constructs
+    no Group."""
     mixed = direct_product(a5, cyclic_group(2))
     assert [f.kind for f in generalized_derived_series(mixed).factors] == \
         ["mixed"]
@@ -191,7 +208,7 @@ def test_certificate_builds_no_group_after_the_series(s4, a5, monkeypatch):
         init(self, *args, **kwargs)
 
     for g in (s4, mixed, sl_group(2, 3)):
-        generalized_derived_series(g)
+        generalized_derived_series(g).factors
         with monkeypatch.context() as m:
             m.setattr(Group, "__init__", counting_init)
             rep = subnormal_certificate(g)
@@ -212,6 +229,67 @@ def test_verify_certificate_reads_no_cached_quotient():
         assert rep.factors[0].abelian_invariants == \
             abelian_invariants(full_subgroup(fake))
         assert not verify_certificate(rep), g.name
+
+
+def test_solvable_coincidence_decomposes_every_step():
+    """solvable-coincidence reads the series factors of every catalog
+    group, so a step quotient that is not (abelian) x (semisimple), here
+    S3 cached as C4/1, fails it."""
+    g = cyclic_group(4)
+    g._cache[("quotient", frozenset({0}))] = (symmetric_group(3), None)
+    with pytest.raises(DecompositionFailed):
+        _solvable_coincidence(g)
+
+
+def _explicit_factors(terms):
+    return tuple(factor_descriptor_of(local_quotient(a, b)[0])
+                 for a, b in zip(terms, terms[1:]))
+
+
+def test_lazy_factors_match_explicit_decomposition():
+    """Both series of every catalog group of order <= 48: the factors read
+    from the report are the explicit decompositions of its step quotients,
+    and they are kept after the first read."""
+    for name, g in catalog(48):
+        for make in (generalized_derived_series, derived_series):
+            rep = make(g)
+            want = _explicit_factors(rep.terms)
+            assert rep.factors == want, (name, make.__name__)
+            assert rep.factors is rep.factors
+
+
+def test_series_laws_decompose_no_step(monkeypatch):
+    """The length and the quotient, normal and extension laws read terms
+    and lengths only, so they never decompose a step quotient."""
+    def refuse(Q):
+        raise AssertionError(f"step quotient {Q.name} decomposed")
+
+    monkeypatch.setattr(series, "factor_descriptor_of", refuse)
+    c2 = cyclic_group(2)
+    groups = [symmetric_group(4), sl_group(2, 3),
+              direct_product(alternating_group(5), c2),
+              twisted_wreath_product(symmetric_group(3), c2,
+                                     subgroup_generated(c2, [])).group]
+    for g, length in zip(groups, (3, 3, 1, 3)):
+        assert abelian_simple_length(g) == length, g.name
+        for law in (_quotient_law, _normal_law, _extension_law):
+            ok, detail = law(g)
+            assert ok, (g.name, law.__name__, detail)
+
+
+def test_lazy_report_compares_hashes_and_prints_as_eager(s4, a5):
+    """A report whose factors are not yet read equals, hashes and prints
+    as one built with them; each of the three reads them."""
+    mixed = direct_product(a5, cyclic_group(2))
+    for g in (s4, mixed):
+        rep = generalized_derived_series(g)
+        terms = rep.terms
+        eager = SeriesReport(g, terms, _explicit_factors(terms), rep.length,
+                             rep.terminates)
+        assert "factors=(FactorDescriptor(" in repr(eager)
+        assert repr(_report(g, terms)) == repr(eager)
+        assert _report(g, terms) == eager
+        assert hash(_report(g, terms)) == hash(eager)
 
 
 def test_series_terms_match_the_oracle_chain():
