@@ -519,33 +519,61 @@ def normal_closure(G, seed):
 def conjugacy_classes(G):
     """Partition of indices into conjugacy classes.
 
-    Identity class first, then sorted by (size, least member).
+    Identity class first, then sorted by (size, least member). The classes
+    of a quotient G/N are the images of G's classes (two of which may
+    share one), so when G's are already known they are fused through the
+    quotient's surjection at no product; otherwise the quotient runs its
+    own orbits and never computes G's.
     """
     classes = G._cache.get("classes")
     if classes is None:
-        n = G.order
-        seen = [False] * n
-        out = []
-        pairs = [(g, G.inv(g)) for g in G.generators]
-        for i in range(n):
-            if seen[i]:
-                continue
-            orbit = [i]
-            seen[i] = True
-            k = 0
-            while k < len(orbit):
-                x = orbit[k]
-                k += 1
-                for g, gi in pairs:
-                    y = G.mul(gi, G.mul(x, g))
-                    if not seen[y]:
-                        seen[y] = True
-                        orbit.append(y)
-            out.append(tuple(sorted(orbit)))
+        pi = G._cache.get("surjection")
+        fine = pi.source._cache.get("classes") if pi is not None else None
+        out = _class_orbits(G) if fine is None else \
+            _class_images(fine, pi.mapping, G.order)
         out.sort(key=lambda c: (len(c), c[0]))
         classes = tuple(out)
         G._cache["classes"] = classes
     return classes
+
+
+def _class_orbits(G):
+    """Classes as orbits under conjugation by the generators."""
+    n = G.order
+    seen = [False] * n
+    out = []
+    pairs = [(g, G.inv(g)) for g in G.generators]
+    for i in range(n):
+        if seen[i]:
+            continue
+        orbit = [i]
+        seen[i] = True
+        k = 0
+        while k < len(orbit):
+            x = orbit[k]
+            k += 1
+            for g, gi in pairs:
+                y = G.mul(gi, G.mul(x, g))
+                if not seen[y]:
+                    seen[y] = True
+                    orbit.append(y)
+        out.append(tuple(sorted(orbit)))
+    return out
+
+
+def _class_images(classes, mapping, n):
+    """Distinct images of classes under a surjection onto n indices; the
+    image of a class is a whole class, so a class whose first member lands
+    in an image already taken adds nothing."""
+    seen = [False] * n
+    out = []
+    for c in classes:
+        if not seen[mapping[c[0]]]:
+            image = sorted({mapping[x] for x in c})
+            for y in image:
+                seen[y] = True
+            out.append(tuple(image))
+    return out
 
 
 def class_index_of(G):
@@ -882,13 +910,19 @@ def quotient(G, N, name=None):
         coset[g] for g in G.generators if coset[g] != 0))
     hom = Homomorphism(G, Q, coset)
     G._cache[key] = (Q, hom)
+    # the surjection from G, through which Q's classes are fused from G's
+    Q._cache["surjection"] = hom
     return Q, hom
 
 
 def local_quotient(a, b):
     """Quotient a/b of normal subgroups b <= a of one group, taken in
-    a.local_group(), in which b is re-indexed. Returns (Q, pi)."""
+    a.local_group(), in which b is re-indexed. Returns (Q, pi); for a
+    trivial b that is the host and its identity map, not a second copy
+    of the host."""
     host = a.local_group()
+    if b.order == 1:
+        return host, identity_hom(host)
     members = b.members if host is a.parent else map(host.index_of, b.members)
     return quotient(host, Subgroup(host, members, normal=True))
 

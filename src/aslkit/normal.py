@@ -245,11 +245,9 @@ def melnikov_subgroup(G):
 def _residuum(H):
     """Last term of the ordinary derived series of the Subgroup H."""
     while H.order > 1:
-        # walk on greedy generators: small indices, whose products the
-        # class orbits and other closures of the parent mostly compute
-        # anyway, unlike the commutators a closure adopted (4 % fewer memo
-        # entries on the A5 wreath products)
-        nxt = subgroup_derived(Subgroup(H.parent, H.members))
+        # each derived term walks on the generators its closure adopted;
+        # choosing greedy ones instead would cost a closure of the term
+        nxt = subgroup_derived(H)
         if nxt.order == H.order:
             break
         H = nxt

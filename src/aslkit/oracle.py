@@ -7,10 +7,13 @@ closures, visiting each class once, and joins them; the oracle enumerates
 every identity-containing union of classes exhaustively, with infeasible
 branches pruned through an all-pairs class-product table. Each branch adds
 one class to a product-closed set and grows the closure from that class,
-reading only the table entries that involve a class it gained. The shared
-class partition and the spans are checked against element-level closures
-and brute-force conjugation in the tests, so agreement here is still
-meaningful evidence. Performance is a non-goal; the
+reading only the table entries that involve a class it gained. The classes
+of a quotient are shared code too: `oracle_D` decides `is_simple` on
+quotients of G, whose classes `core.conjugacy_classes` fuses from G's. The
+shared class partition, its fusion into quotients and the spans are
+checked against element-level closures and brute-force conjugation in the
+tests, so agreement here is still meaningful evidence. Performance is a
+non-goal; the
 enumeration is exponential in the class count.
 """
 

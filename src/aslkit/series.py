@@ -10,19 +10,23 @@ The series is one chain of Subgroups of G. D of a term is computed in
 `term.local_group()`: G itself for term 0, and for every later term its
 `as_group()`, a materialized subgroup one level deep whose products are
 products in G. D's members map back to G through the term's own member
-list (`term.lift`).
+list (`term.lift`). A caller that reads only the first terms asks for
+that many D-steps (`max_steps`), and no later term is computed: the
+wreath checks read H^(1) and take one step.
 
 A report stores the chain only. Each step's factor is read from the
 quotient `local_quotient(term, next)` when the report's `factors` are
-first read, and that quotient stays cached on the term's local group. The
-length and the laws of the paper are statements about terms, so most
-callers never build a step quotient. Reading the factors is also what
-checks that every step is (abelian) x (semisimple): `factor_descriptor_of`
-raises `DecompositionFailed` otherwise. `subnormal_certificate` reuses the
-report's terms, factors and step quotients instead of building a second
-chain. `verify_certificate` reads none of these: it rebuilds every step in
-a fresh materialization. The ordinary derived series shares the factor
-loop.
+first read, and that quotient stays cached on the term's local group; the
+last step, X -> 1, reads X's local group itself, not a copy of it. A step
+quotient's classes are fused from those of its host when the host has
+them (`core.conjugacy_classes`). The length and the laws of the paper are
+statements about terms, so most callers never build a step quotient.
+Reading the factors is also what checks that every step is (abelian) x
+(semisimple): `factor_descriptor_of` raises `DecompositionFailed`
+otherwise. `subnormal_certificate` reuses the report's terms, factors and
+step quotients instead of building a second chain. `verify_certificate`
+reads none of these: it rebuilds every step in a fresh materialization.
+The ordinary derived series shares the factor loop.
 
 D0 is computed through the solvable radical R: every maximal normal subgroup
 with nonabelian (simple) quotient contains R, because the image of a solvable
@@ -280,22 +284,22 @@ def generalized_derived_subgroup(G):
     return out
 
 
-def generalized_derived_series(G, max_terms=None):
+def generalized_derived_series(G, max_steps=None):
     """Iterate D until the identity; length field is the abelian-simple length.
 
     Every term is a Subgroup of G, and D of a term is computed in the
     term's `local_group()`, whose index k stands for the term's k-th
-    member. max_terms truncates the chain early
-    (used by witness searches that only need the first few terms);
-    truncated reports have terminates=False.
+    member. max_steps bounds the number of D-steps, so the report has at
+    most max_steps + 1 terms: a caller that reads `terms[k]` asks for k
+    steps. A report cut short before the identity has terminates=False.
     """
-    if max_terms is None:
+    if max_steps is None:
         cached = G._cache.get("gds_series")
         if cached is not None:
             return cached
     terms = [full_subgroup(G)]
     while terms[-1].order > 1:
-        if max_terms is not None and len(terms) > max_terms:
+        if max_steps is not None and len(terms) > max_steps:
             break
         cur = terms[-1]
         d = generalized_derived_subgroup(cur.local_group())
@@ -305,7 +309,7 @@ def generalized_derived_series(G, max_terms=None):
         # D(term) is characteristic in the term, hence normal in G
         terms.append(cur.lift(d))
     report = _report(G, terms)
-    if max_terms is None:
+    if max_steps is None:
         G._cache["gds_series"] = report
     return report
 

@@ -530,7 +530,7 @@ def _a5_wreath_s3():
 def _simple_nonabelian_cases():
     def big_case():
         w = _a5_wreath_c2()
-        series = generalized_derived_series(w.group, max_terms=2)
+        series = generalized_derived_series(w.group, max_steps=1)
         h1 = series.terms[1]
         ok = h1.order == 3600 and h1.member_set == w.ind.member_set
         return ok, f"H^(1) order {h1.order}, equals Ind: {ok}"
@@ -539,7 +539,7 @@ def _simple_nonabelian_cases():
         # [G^(0) G0 : G0] = [S3 : A3] = 2 > 1, so H^(1) = Ind x| G^(1)
         w = _a5_wreath_s3()
         s3 = w.g
-        series = generalized_derived_series(w.group, max_terms=2)
+        series = generalized_derived_series(w.group, max_steps=1)
         h1 = series.terms[1]
         g1 = generalized_derived_series(s3).terms[1]
         want = {f * s3.order + s for f in range(w.ind_group.order)

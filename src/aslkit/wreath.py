@@ -157,7 +157,11 @@ def twisted_wreath_product(A, G, G0: Subgroup, act: GroupAction = None,
     W = semidirect_product(Ind, G, g_action,
                            name=f"{A.name} wr[{G0.order}] {G.name}",
                            validate=False, closure_cap=closure_cap)
-    # value (f_idx, s) sits at index f_idx * |G| + s
+    # value (f_idx, s) sits at index f_idx * |G| + s. G moves the identity
+    # coset (digit 0, of weight |A|^(m-1)) onto every other coset and G0
+    # keeps it, so the copy of A on that coset and G generate W
+    digit0 = A.order ** (m - 1) * G.order
+    W.generators = [a * digit0 for a in A.generators] + list(G.generators)
     ind_members = [f * G.order for f in range(Ind.order)]
     ind_sub = Subgroup(W, ind_members, normal=True,
                        gens=[g * G.order for g in Ind.generators])
@@ -239,7 +243,7 @@ def wreath_quotient(A, A0: Subgroup, G, G0: Subgroup,
 
 def msigma_hypothesis(G, G0: Subgroup, m):
     """True iff the coset count of G0 in G^(m) G0 exceeds 2^m."""
-    series = generalized_derived_series(G, max_terms=m + 1)
+    series = generalized_derived_series(G, max_steps=m)
     term = series.terms[m] if m < len(series.terms) else series.terms[-1]
     inter = len(term.member_set & G0.member_set)
     index = term.order // inter
@@ -258,7 +262,7 @@ def msigma_witness(A, G, G0: Subgroup, act: GroupAction = None, m=0,
         raise NotAnAction("A must be nontrivial")
     hyp = msigma_hypothesis(G, G0, m)
     W = twisted_wreath_product(A, G, G0, act, closure_cap=closure_cap)
-    series = generalized_derived_series(W.group, max_terms=m + 2)
+    series = generalized_derived_series(W.group, max_steps=m + 1)
     if m + 1 < len(series.terms):
         term = series.terms[m + 1]
     else:

@@ -40,7 +40,7 @@ from aslkit.families import (
     symmetric_group,
 )
 from aslkit.matgroups import LPFiltration
-from aslkit.normal import class_closures
+from aslkit.normal import all_normal_subgroups, class_closures
 from aslkit.series import FactorDescriptor
 from aslkit.specparse import Named, PermSpec
 from aslkit.verify import Case, SuiteResult
@@ -283,6 +283,39 @@ def test_conjugacy_classes(s3, s4):
     assert len(conjugacy_classes(s4)) == 5
     ab = cyclic_group(7)
     assert all(len(c) == 1 for c in conjugacy_classes(ab))
+
+
+def _classes_by_conjugation(G):
+    """Classes from the definition: each element conjugated by every
+    element, in the (size, least member) order of `conjugacy_classes`."""
+    classes = {tuple(sorted({G.conj(x, g) for g in range(G.order)}))
+               for x in range(G.order)}
+    return tuple(sorted(classes, key=lambda c: (len(c), c[0])))
+
+
+def test_quotient_classes_are_fused_from_the_parent():
+    """With the parent's classes known, every quotient of a catalog group
+    by a normal subgroup reads its classes as their images; they are the
+    classes conjugation gives, and the quotient computes no orbit."""
+    for name, G in catalog(48):
+        conjugacy_classes(G)
+        for N in all_normal_subgroups(G):
+            # a fresh quotient, whose classes no earlier test has read
+            G._cache.pop(("quotient", N.member_set), None)
+            Q, _ = quotient(G, N)
+            assert "classes" not in Q._cache
+            fused = conjugacy_classes(Q)
+            assert Q._inv_cache == [None] * Q.order, (name, N.order)
+            assert fused == _classes_by_conjugation(Q), (name, N.order)
+
+
+def test_quotient_of_a_group_without_classes_runs_its_own_orbits():
+    for G in (symmetric_group(4), direct_product(alternating_group(5),
+                                                 cyclic_group(2))):
+        for N in (commutator_subgroup(G), trivial_subgroup(G)):
+            Q, _ = quotient(G, N)
+            assert conjugacy_classes(Q) == _classes_by_conjugation(Q)
+            assert "classes" not in G._cache, G.name
 
 
 def test_normal_closure_examples(s4):

@@ -4,14 +4,17 @@ import random
 
 import pytest
 
+from aslkit import core
 from aslkit.catalog import catalog
 from aslkit.core import (
     Subgroup,
     class_index_of,
+    commutator_subgroup,
     conjugacy_classes,
     cycle_label,
     direct_product,
     direct_product_many,
+    full_subgroup,
     group_from_perm_generators,
     normal_closure,
     subgroup_generated,
@@ -25,6 +28,7 @@ from aslkit.families import (
     symmetric_group,
 )
 from aslkit.normal import (
+    _residuum,
     all_normal_subgroups,
     class_closures,
     is_simple,
@@ -266,6 +270,24 @@ def test_solvable_radical_matches_element_level_definition():
         rad = solvable_radical(g)
         assert rad.member_set == ref.member_set, g.name
         assert is_solvable(g) == (rad.order == g.order), g.name
+
+
+def test_residuum_walks_on_the_generators_it_has(monkeypatch):
+    """Every derived term keeps the generators its closure adopted, so a
+    walk from a subgroup with generators chooses none."""
+    groups = [symmetric_group(4), symmetric_group(5),
+              direct_product(alternating_group(5), symmetric_group(4))]
+    starts = [sub for g in groups
+              for sub in (full_subgroup(g), commutator_subgroup(g))]
+    want = [_residuum(Subgroup(h.parent, h.members)).member_set
+            for h in starts]
+
+    def refuse(G, members):
+        raise AssertionError(f"greedy generators of {len(members)} members")
+
+    monkeypatch.setattr(core, "greedy_generators", refuse)
+    assert [_residuum(h).member_set for h in starts] == want
+    assert [len(m) for m in want] == [1, 1, 60, 60, 60, 60]
 
 
 def test_is_simple_matches_class_closures():

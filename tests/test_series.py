@@ -39,9 +39,12 @@ from aslkit.series import (
     verify_certificate,
 )
 from aslkit.verify import (
+    _a5_wreath_c2,
+    _a5_wreath_s3,
     _extension_law,
     _normal_law,
     _quotient_law,
+    _simple_nonabelian_cases,
     _solvable_coincidence,
 )
 from aslkit.wreath import twisted_wreath_product
@@ -58,6 +61,52 @@ def test_d_examples(s3, s4, a5):
     assert generalized_derived_subgroup(s3).order == 3
     assert generalized_derived_subgroup(a5).order == 1
     assert generalized_derived_subgroup(s4).order == 12
+
+
+def _count_d_steps(monkeypatch):
+    """Record the group of every D-step the series takes."""
+    calls = []
+    real = series.generalized_derived_subgroup
+
+    def counting(G):
+        calls.append(G)
+        return real(G)
+
+    monkeypatch.setattr(series, "generalized_derived_subgroup", counting)
+    return calls
+
+
+def test_max_steps_bounds_the_d_steps(monkeypatch):
+    """max_steps=k takes at most k D-steps and gives the first k + 1 terms
+    of the full series; the old keyword is refused."""
+    groups = [symmetric_group(4), sl_group(2, 3),
+              direct_product(alternating_group(5), cyclic_group(2))]
+    calls = _count_d_steps(monkeypatch)
+    for g in groups:
+        full = generalized_derived_series(g)
+        for k in range(full.length + 2):
+            calls.clear()
+            rep = generalized_derived_series(g, max_steps=k)
+            assert len(calls) <= k, (g.name, k)
+            assert rep.terms == full.terms[:k + 1], (g.name, k)
+            assert rep.terminates == (k >= full.length), (g.name, k)
+    with pytest.raises(TypeError):
+        generalized_derived_series(groups[0], max_terms=1)
+
+
+def test_simple_nonabelian_cases_take_one_d_step(monkeypatch):
+    """Each simple-nonabelian case reads H^(1) only, so it takes exactly
+    one D-step on its wreath product."""
+    calls = _count_d_steps(monkeypatch)
+    wreaths = (_a5_wreath_c2(), _a5_wreath_s3())
+    for (name, case), w in zip(_simple_nonabelian_cases(), wreaths):
+        # the second run finds the series of G cached, so every D-step
+        # it takes is one of the wreath's
+        for _ in range(2):
+            calls.clear()
+            ok, detail = case()
+            assert ok, (name, detail)
+        assert calls == [w.group], name
 
 
 def test_series_s4(s4):
@@ -216,14 +265,42 @@ def test_certificate_builds_no_group_after_the_series(s4, a5, monkeypatch):
         assert verify_certificate(rep)
 
 
-def test_verify_certificate_reads_no_cached_quotient():
-    """A step quotient corrupted in the cache before the series is built
-    gives a wrong certificate; verify_certificate rebuilds every step in a
-    fresh group, so it rejects it."""
+def test_last_step_reads_its_host(monkeypatch):
+    """The factor of a last step X -> 1 is read from X itself: reading the
+    factors of a simple or an abelian group builds no group."""
+    built = []
+    init = Group.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    for g in (alternating_group(5), cyclic_group(12)):
+        rep = generalized_derived_series(g)
+        with monkeypatch.context() as m:
+            m.setattr(Group, "__init__", counting_init)
+            rep.factors
+        assert built == [], g.name
+        Q, pi = local_quotient(*rep.terms)
+        assert Q is g and pi.mapping == tuple(range(g.order))
+
+
+def _fake_last_step(monkeypatch, fake):
+    """Make the series read `fake` as the quotient of every step X -> 1."""
+    def faked(a, b):
+        return (fake, None) if b.order == 1 else local_quotient(a, b)
+
+    monkeypatch.setattr(series, "local_quotient", faked)
+
+
+def test_verify_certificate_reads_no_cached_quotient(monkeypatch):
+    """A step quotient corrupted before the series reads it gives a wrong
+    certificate; verify_certificate rebuilds every step in a fresh group,
+    so it rejects it."""
     c2 = cyclic_group(2)
     for g, fake in ((cyclic_group(4), direct_product(c2, c2)),
                     (alternating_group(5), cyclic_group(60))):
-        g._cache[("quotient", frozenset({0}))] = (fake, None)
+        _fake_last_step(monkeypatch, fake)
         rep = subnormal_certificate(g)
         assert rep.factors[0].kind == "abelian"
         assert rep.factors[0].abelian_invariants == \
@@ -231,12 +308,12 @@ def test_verify_certificate_reads_no_cached_quotient():
         assert not verify_certificate(rep), g.name
 
 
-def test_solvable_coincidence_decomposes_every_step():
+def test_solvable_coincidence_decomposes_every_step(monkeypatch):
     """solvable-coincidence reads the series factors of every catalog
     group, so a step quotient that is not (abelian) x (semisimple), here
-    S3 cached as C4/1, fails it."""
+    S3 read as C4/1, fails it."""
     g = cyclic_group(4)
-    g._cache[("quotient", frozenset({0}))] = (symmetric_group(3), None)
+    _fake_last_step(monkeypatch, symmetric_group(3))
     with pytest.raises(DecompositionFailed):
         _solvable_coincidence(g)
 

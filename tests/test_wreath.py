@@ -7,6 +7,7 @@ from aslkit.core import (
     check_group_axioms,
     full_subgroup,
     is_isomorphic,
+    subgroup_closure,
     subgroup_generated,
     trivial_subgroup,
 )
@@ -16,6 +17,8 @@ from aslkit.families import (
     cyclic_group,
     symmetric_group,
 )
+from aslkit.fpmod import LinearAction, as_group_action
+from aslkit.verify import _a5_wreath_c2, _a5_wreath_s3
 from aslkit.wreath import (
     induced_group,
     msigma_hypothesis,
@@ -183,7 +186,6 @@ def test_msigma_no_witness_when_hypothesis_fails():
 def test_elementary_abelian_wreath_intersection(s3):
     # A = F2^2 with the irreducible C3-action; the hypothesis at m = 0 holds
     # since [S3 : A3] = 2 > 1, so H^(1) must meet Ind nontrivially
-    from aslkit.fpmod import LinearAction, as_group_action
     c3elt = next(i for i in range(6) if s3.element_order(i) == 3)
     g0 = subgroup_generated(s3, [c3elt])
     lin = LinearAction(g0.as_group(), 2, 2, [((0, 1), (1, 1))])
@@ -191,3 +193,25 @@ def test_elementary_abelian_wreath_intersection(s3):
     w = msigma_witness(gact.space, s3, g0, gact, m=0)
     assert w is not None
     assert w.outer == "()"
+
+
+def test_wreath_generated_by_one_coset_copy_and_g(s3):
+    """The copy of A on the identity coset and the complement G generate
+    the whole wreath product, also when G0 acts on A: for the two
+    simple-nonabelian wreaths, the nontrivial-action one (C3 acting on
+    F2^2) and C3 wr S3 over a transposition acting by inversion."""
+    c3elt = next(i for i in range(6) if s3.element_order(i) == 3)
+    a3 = subgroup_generated(s3, [c3elt])
+    gact = as_group_action(
+        LinearAction(a3.as_group(), 2, 2, [((0, 1), (1, 1))]))
+    g0 = _order2_subgroup(s3)
+    c3 = cyclic_group(3)
+    inversion = GroupAction(g0.as_group(), c3,
+                            lambda a, t: c3.inv(a) if t else a)
+    wreaths = [_a5_wreath_c2(), _a5_wreath_s3(),
+               twisted_wreath_product(gact.space, s3, a3, gact),
+               twisted_wreath_product(c3, s3, g0, inversion, validate=True)]
+    for w in wreaths:
+        W = w.group
+        assert len(W.generators) == len(w.a.generators) + len(w.g.generators)
+        assert len(subgroup_closure(W, W.generators)) == W.order, W.name
