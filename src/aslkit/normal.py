@@ -5,16 +5,24 @@ are handled as bitmasks over the class list of `conjugacy_classes`. One
 primitive, `_span`, extends a normal subgroup A by generating classes: it
 visits each class of the result once and reads each class product c_k * c_g
 from one representative of the larger class times the smaller class. The normal
-closure of a class c is the span of c over the trivial subgroup, and the
-lattice is built by joining each member with every single-class closure,
-which reaches every normal subgroup while staying proportional to the
-lattice size rather than the (often huge) subgroup count.
+closure of a class c is the span of c over the trivial subgroup. The class
+of x^k with k prime to the order of x has the same closure as the class of
+x, since x^k generates <x>, so the classes in one such power family share
+one span. The lattice is built by joining each member with every
+single-class closure, which reaches every normal subgroup while staying
+proportional to the lattice size rather than the (often huge) subgroup
+count. Most joins land on a member already found; |AB| = |A||B|/|A n B|
+names the order of AB, and a found member of that order containing A and
+B is AB, so only a join that yields a new member runs `_span`.
 
 Solvability and simplicity are decided at the element level first, from the
 derived series, so solvable groups never reach the class layer: the solvable
 radical of a solvable group is the group itself, and a group that is not
-perfect is simple only when it is cyclic of prime order. Reference: Holt,
-Eick and O'Brien, Handbook of Computational Group Theory (2005), ch. 3.
+perfect is simple only when it is cyclic of prime order. The derived series
+walked to decide solvability is kept on a solvable group
+(`solvable_derived_chain`), since it is also its generalized derived
+series. Reference: Holt, Eick and O'Brien, Handbook of Computational Group
+Theory (2005), ch. 3.
 """
 
 from __future__ import annotations
@@ -126,12 +134,35 @@ def _subgroup_of(G, mask):
 
 
 def _class_spans(G):
-    """{class mask of <c^G>: c}, c the first class generating it."""
+    """{class mask of <c^G>: c}, c the first class generating it.
+
+    A class whose span is computed walks the powers x^k of its first
+    member x once, which also gives the order n of x; each class met at a
+    k prime to n gets the same span without computing it. Classes are
+    still visited in order, so each mask keeps its first class as key.
+    """
     spans = G._cache.get("class_spans")
     if spans is None:
+        classes = conjugacy_classes(G)
+        cls_of = class_index_of(G)
+        mul = G.mul
+        # every span holds the identity class, so 0 marks one not yet known
+        shared = [0] * len(classes)
         spans = {}
-        for c in range(len(conjugacy_classes(G))):
-            spans.setdefault(_span(G, 1, (c,)), c)
+        for c, cls in enumerate(classes):
+            span = shared[c]
+            if not span:
+                span = _span(G, 1, (c,))
+                x = y = cls[0]
+                powers = []         # classes of x, x^2, ..., x^(n-1)
+                while y != 0:
+                    powers.append(cls_of[y])
+                    y = mul(y, x)
+                n = len(powers) + 1
+                for k, d in enumerate(powers, 1):
+                    if math.gcd(k, n) == 1:
+                        shared[d] = span
+            spans.setdefault(span, c)
         G._cache["class_spans"] = spans
     return spans
 
@@ -151,27 +182,59 @@ def all_normal_subgroups(G, max_classes=LATTICE_CLASS_CAP):
 
     Every normal subgroup is the join of the closures of its classes, so
     joining each new member with every class closure reaches all of them.
+    A join AB is looked up before it is spanned: its order is
+    |A||B|/|A n B|, with A n B the AND of the two masks, and the masks
+    found so far are indexed by order. A found member of that order that
+    contains A and B is AB; only a join with no such member runs `_span`,
+    and it yields a new member.
     """
     lat = G._cache.get("normal_lattice")
     if lat is not None:
         return lat
-    ncl = len(conjugacy_classes(G))
+    classes = conjugacy_classes(G)
+    ncl = len(classes)
     if ncl > max_classes:
         raise TooManyClasses(
             f"{G.name}: {ncl} conjugacy classes exceed cap {max_classes}")
+    sizes = [len(c) for c in classes]
+    orders = {}
+
+    def order_of(mask):
+        n = orders.get(mask)
+        if n is None:
+            n, rest = 0, mask
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                n += sizes[low.bit_length() - 1]
+            orders[mask] = n
+        return n
+
     spans = _class_spans(G)
-    found = set(spans)
-    worklist = list(found)
+    found = list(spans)
+    by_order = {}
+    for m in found:
+        by_order.setdefault(order_of(m), []).append(m)
+    worklist = found
     while worklist:
         new = []
         for a in worklist:
+            na = order_of(a)
             for b, c in spans.items():
-                if a & b == b or a & b == a:
+                meet = a & b
+                if meet == b or meet == a:
                     continue
-                j = _span(G, a, (c,))
-                if j not in found:
-                    found.add(j)
+                n = na * order_of(b) // order_of(meet)
+                ab = a | b
+                same = by_order.setdefault(n, [])
+                for m in same:
+                    if m & ab == ab:
+                        break
+                else:
+                    j = _span(G, a, (c,))
+                    same.append(j)
                     new.append(j)
+        found.extend(new)
         worklist = new
     lat = NormalLattice(G, [_subgroup_of(G, mask) for mask in found])
     G._cache["normal_lattice"] = lat
@@ -242,8 +305,10 @@ def melnikov_subgroup(G):
 # -- solvability --------------------------------------------------------------
 
 
-def _residuum(H):
-    """Last term of the ordinary derived series of the Subgroup H."""
+def _derived_chain(H):
+    """[H, H', H'', ...] for the Subgroup H, down to the last term of its
+    ordinary derived series."""
+    chain = [H]
     while H.order > 1:
         # each derived term walks on the generators its closure adopted;
         # choosing greedy ones instead would cost a closure of the term
@@ -251,7 +316,13 @@ def _residuum(H):
         if nxt.order == H.order:
             break
         H = nxt
-    return H
+        chain.append(H)
+    return chain
+
+
+def _residuum(H):
+    """Last term of the ordinary derived series of the Subgroup H."""
+    return _derived_chain(H)[-1]
 
 
 def is_solvable_subgroup(H):
@@ -263,15 +334,29 @@ def _perfect_residuum(G):
     """Last term of the derived series G >= G' >= G'' >= ..., cached.
 
     The walk starts from the cached `commutator_subgroup(G)`; G is solvable
-    iff the term it stops at is trivial.
+    iff the term it stops at is trivial, and then the walk G' > G'' > ...
+    > 1 is kept on G for `solvable_derived_chain`. Each of its terms is
+    characteristic in G, so it is marked normal.
     """
     res = G._cache.get("perfect_residuum")
     if res is None:
-        res = commutator_subgroup(G)
-        if res.order < G.order:
-            res = _residuum(res)
+        der = commutator_subgroup(G)
+        chain = _derived_chain(der) if der.order < G.order else []
+        res = chain[-1] if chain else der
+        if res.order == 1:
+            for term in chain:
+                term.normal = True
+            G._cache["derived_chain"] = tuple(chain)
         G._cache["perfect_residuum"] = res
     return res
+
+
+def solvable_derived_chain(G):
+    """The derived series of a solvable G below G itself, G' > G'' > ...
+    > 1 (empty for the trivial group), as Subgroups of G marked normal;
+    None when G is not solvable."""
+    _perfect_residuum(G)
+    return G._cache.get("derived_chain")
 
 
 def is_solvable(G):

@@ -35,10 +35,12 @@ keeps the lattice enumeration away from large abelian groups, whose class
 counts would otherwise blow past the enumeration cap.
 
 R is found from the derived series first (`normal.solvable_radical`). For a
-solvable G the walk reaches 1, so R = G, D0 = G and D(G) = G': the series
-of a solvable group is its derived series, and no conjugacy class, class
-span or lattice is computed for it or for any of its terms. Only a group
-with a nontrivial perfect residuum reaches the class layer.
+solvable G the walk reaches 1, so R = G, D0 = G and D(G) = G'. The same
+holds for every term, so the series of a solvable group is its derived
+series: it is read from the walk that decided solvability
+(`normal.solvable_derived_chain`), with no D-step, no materialized term
+and no conjugacy class, class span or lattice. Only a group with a
+nontrivial perfect residuum takes D-steps and reaches the class layer.
 """
 
 from __future__ import annotations
@@ -61,6 +63,7 @@ from .errors import DecompositionFailed
 from .normal import (
     all_normal_subgroups,
     simple_factor_orders,
+    solvable_derived_chain,
     solvable_radical,
 )
 
@@ -292,22 +295,28 @@ def generalized_derived_series(G, max_steps=None):
     member. max_steps bounds the number of D-steps, so the report has at
     most max_steps + 1 terms: a caller that reads `terms[k]` asks for k
     steps. A report cut short before the identity has terminates=False.
+    A solvable G takes no D-step: D(H) = H' for each of its terms, so its
+    terms after G are the derived chain that decided its solvability.
     """
     if max_steps is None:
         cached = G._cache.get("gds_series")
         if cached is not None:
             return cached
     terms = [full_subgroup(G)]
-    while terms[-1].order > 1:
-        if max_steps is not None and len(terms) > max_steps:
-            break
-        cur = terms[-1]
-        d = generalized_derived_subgroup(cur.local_group())
-        if d.order == cur.order:
-            raise DecompositionFailed(
-                f"generalized derived series stalled on {G.name}")
-        # D(term) is characteristic in the term, hence normal in G
-        terms.append(cur.lift(d))
+    chain = solvable_derived_chain(G)
+    if chain is not None:
+        terms.extend(chain[:max_steps])
+    else:
+        while terms[-1].order > 1:
+            if max_steps is not None and len(terms) > max_steps:
+                break
+            cur = terms[-1]
+            d = generalized_derived_subgroup(cur.local_group())
+            if d.order == cur.order:
+                raise DecompositionFailed(
+                    f"generalized derived series stalled on {G.name}")
+            # D(term) is characteristic in the term, hence normal in G
+            terms.append(cur.lift(d))
     report = _report(G, terms)
     if max_steps is None:
         G._cache["gds_series"] = report

@@ -168,7 +168,13 @@ def _log_length(g):
 
 
 def _solvable_coincidence(g):
-    """Also the catalog-wide check that every step of the generalized
+    """For solvable g, the derived series, the generalized derived series
+    and the D-steps taken by definition agree term by term. The series of
+    a solvable g is read from the derived walk that decided its
+    solvability, so each step D(term) is also computed from the term's
+    local group, as `generalized_derived_subgroup` defines it, and lifted.
+
+    Also the catalog-wide check that every step of the generalized
     derived series is (abelian) x (semisimple): reading the factors
     decomposes each step quotient, for solvable and nonsolvable g alike."""
     gds = generalized_derived_series(g)
@@ -176,9 +182,13 @@ def _solvable_coincidence(g):
     der = derived_series(g)
     if not der.terminates:
         return True, "not solvable; vacuous"
-    same = all(a.member_set == b.member_set
-               for a, b in zip(der.terms, gds.terms)) and \
-        len(der.terms) == len(gds.terms)
+    same = len(der.terms) == len(gds.terms) and all(
+        a.member_set == b.member_set for a, b in zip(der.terms, gds.terms))
+    # with the terms equal, D(term i) = term i + 1 at every step is the
+    # D-step walk from g; it reuses the local groups the factors built
+    same = same and all(
+        a.lift(generalized_derived_subgroup(a.local_group())).member_set
+        == b.member_set for a, b in zip(gds.terms, der.terms[1:]))
     return same, f"orders {gds.orders()}"
 
 

@@ -263,12 +263,8 @@ def msigma_witness(A, G, G0: Subgroup, act: GroupAction = None, m=0,
     hyp = msigma_hypothesis(G, G0, m)
     W = twisted_wreath_product(A, G, G0, act, closure_cap=closure_cap)
     series = generalized_derived_series(W.group, max_steps=m + 1)
-    if m + 1 < len(series.terms):
-        term = series.terms[m + 1]
-    else:
-        term = series.terms[-1]
-        if term.order > 1:
-            raise CapExceeded("series truncated before reaching depth")
+    # a series shorter than m + 2 terms has reached the identity
+    term = series.terms[min(m + 1, len(series.terms) - 1)]
     inter = sorted(term.member_set & W.ind.member_set - {0})
     if inter:
         return W.element(inter[0])

@@ -21,6 +21,8 @@ from aslkit.core import (
     trivial_subgroup,
 )
 from aslkit.errors import NotSimpleFactor, TooManyClasses, TrivialGroup
+from aslkit.oracle import ORACLE_CLASS_CAP, oracle_normal_subgroups
+from aslkit.verify import _a5_wreath_c2, _a5_wreath_s3
 from aslkit.families import (
     alternating_group,
     cyclic_group,
@@ -28,7 +30,10 @@ from aslkit.families import (
     symmetric_group,
 )
 from aslkit.normal import (
+    LATTICE_CLASS_CAP,
+    _class_spans,
     _residuum,
+    _span,
     all_normal_subgroups,
     class_closures,
     is_simple,
@@ -330,3 +335,94 @@ def test_solvable_series_skips_the_class_layer():
             if d.order == 1:
                 break
             h = d.as_group()
+
+
+def _spans_class_by_class(g):
+    """{class mask of <c^G>: first c}, one `_span` per class."""
+    spans = {}
+    for c in range(len(conjugacy_classes(g))):
+        spans.setdefault(_span(g, 1, (c,)), c)
+    return spans
+
+
+def _breadth_first_lattice(g):
+    """Class masks of every normal subgroup, by spanning each member with
+    every single-class closure, breadth-first, until nothing new is met."""
+    spans = _spans_class_by_class(g)
+    found = set(spans)
+    worklist = list(found)
+    while worklist:
+        new = []
+        for a in worklist:
+            for b, c in spans.items():
+                if a & b == b or a & b == a:
+                    continue
+                j = _span(g, a, (c,))
+                if j not in found:
+                    found.add(j)
+                    new.append(j)
+        worklist = new
+    return found
+
+
+def _lattice_sets(subgroups):
+    return sorted((s.order, s.members) for s in subgroups)
+
+
+def _mask_sets(g, masks):
+    classes = conjugacy_classes(g)
+    out = []
+    for mask in masks:
+        members = sorted(x for k, cls in enumerate(classes)
+                         if mask >> k & 1 for x in cls)
+        out.append((len(members), tuple(members)))
+    return sorted(out)
+
+
+def test_lattice_matches_oracle_on_the_catalog():
+    """Every catalog group of order <= 48 within the oracle's class cap."""
+    checked = 0
+    for name, g in catalog(48):
+        if len(conjugacy_classes(g)) > ORACLE_CLASS_CAP:
+            continue
+        assert _lattice_sets(all_normal_subgroups(g)) == \
+            _lattice_sets(oracle_normal_subgroups(g)), name
+        checked += 1
+    assert checked >= 200
+
+
+def test_lattice_matches_breadth_first_joins():
+    """Joins found by order give the lattice that spanning every join
+    gives, on every catalog group of order <= 100 under the class cap."""
+    checked = 0
+    for name, g in catalog(100):
+        if len(conjugacy_classes(g)) > LATTICE_CLASS_CAP:
+            continue
+        assert _lattice_sets(all_normal_subgroups(g)) == \
+            _mask_sets(g, _breadth_first_lattice(g)), name
+        checked += 1
+    assert checked >= 600
+
+
+def test_lattice_with_many_members_of_one_order():
+    """C2 x C2 x C2 has seven normal subgroups of order 4 and C4 x C2
+    three: a join of order 4 is the found member of that order that
+    contains both sides, not any member of that order."""
+    c2, c4 = cyclic_group(2), cyclic_group(4)
+    for g, want in ((direct_product_many([c2, c2, c2]),
+                     [1] + [2] * 7 + [4] * 7 + [8]),
+                    (direct_product(c4, c2), [1, 2, 2, 2, 4, 4, 4, 8])):
+        lat = all_normal_subgroups(g)
+        assert [s.order for s in lat] == want, g.name
+        assert _lattice_sets(lat) == \
+            _mask_sets(g, _breadth_first_lattice(g)), g.name
+
+
+def test_class_spans_share_one_span_per_power_family():
+    """The spans shared along power families are the spans computed class
+    by class, each under its first class and in the same order."""
+    groups = [g for _, g in catalog(48)] + \
+        [_a5_wreath_c2().group, _a5_wreath_s3().group]
+    for g in groups:
+        assert list(_class_spans(g).items()) == \
+            list(_spans_class_by_class(g).items()), g.name

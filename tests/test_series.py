@@ -4,10 +4,11 @@ import math
 
 import pytest
 
-from aslkit import series
+from aslkit import series, verify
 from aslkit.catalog import catalog
 from aslkit.core import (
     Group,
+    Subgroup,
     conjugacy_classes,
     direct_product,
     direct_product_many,
@@ -15,14 +16,17 @@ from aslkit.core import (
     local_quotient,
     quotient,
     subgroup_generated,
+    trivial_subgroup,
 )
 from aslkit.errors import DecompositionFailed
 from aslkit.families import (
     alternating_group,
     cyclic_group,
+    dihedral_group,
     symmetric_group,
 )
 from aslkit.matgroups import sl_group
+from aslkit.normal import all_normal_subgroups, is_solvable
 from aslkit.oracle import ORACLE_CLASS_CAP, oracle_D
 from aslkit.series import (
     SeriesReport,
@@ -63,6 +67,23 @@ def test_d_examples(s3, s4, a5):
     assert generalized_derived_subgroup(s4).order == 12
 
 
+def _d_step_walk(g):
+    """Terms of the generalized derived series by definition: D of each
+    term computed in its local group and lifted into g."""
+    terms = [full_subgroup(g)]
+    while terms[-1].order > 1:
+        cur = terms[-1]
+        terms.append(cur.lift(generalized_derived_subgroup(cur.local_group())))
+    return terms
+
+
+def _fresh_solvable_catalog(max_order):
+    """Each solvable catalog group as a fresh group with empty caches: the
+    full subgroup materialized, whose products are the catalog group's."""
+    return [(name, Subgroup(g, range(g.order)).as_group())
+            for name, g in catalog(max_order) if is_solvable(g)]
+
+
 def _count_d_steps(monkeypatch):
     """Record the group of every D-step the series takes."""
     calls = []
@@ -78,9 +99,12 @@ def _count_d_steps(monkeypatch):
 
 def test_max_steps_bounds_the_d_steps(monkeypatch):
     """max_steps=k takes at most k D-steps and gives the first k + 1 terms
-    of the full series; the old keyword is refused."""
+    of the full series, also for each solvable catalog group of order
+    <= 48, whose series is cut from its derived chain; the old keyword is
+    refused."""
     groups = [symmetric_group(4), sl_group(2, 3),
-              direct_product(alternating_group(5), cyclic_group(2))]
+              direct_product(alternating_group(5), cyclic_group(2))] + \
+        [g for _, g in _fresh_solvable_catalog(48)]
     calls = _count_d_steps(monkeypatch)
     for g in groups:
         full = generalized_derived_series(g)
@@ -92,6 +116,46 @@ def test_max_steps_bounds_the_d_steps(monkeypatch):
             assert rep.terminates == (k >= full.length), (g.name, k)
     with pytest.raises(TypeError):
         generalized_derived_series(groups[0], max_terms=1)
+
+
+def test_solvable_series_is_the_d_step_walk(monkeypatch):
+    """For every solvable catalog group of order <= 48 the series equals
+    the D-step walk term by term, and computing and reading its terms
+    takes no D-step and builds no group."""
+    built = []
+    init = Group.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    groups = _fresh_solvable_catalog(48)
+    assert len(groups) >= 400
+    calls = _count_d_steps(monkeypatch)
+    for name, g in groups:
+        with monkeypatch.context() as m:
+            m.setattr(Group, "__init__", counting_init)
+            rep = generalized_derived_series(g)
+            terms = [t.member_set for t in rep.terms]
+        assert built == [] and calls == [], name
+        walk = _d_step_walk(g)
+        assert terms == [t.member_set for t in walk], name
+        assert rep.terminates and rep.length == len(walk) - 1, name
+        calls.clear()
+
+
+def test_nonsolvable_series_takes_its_d_steps(monkeypatch):
+    """A nonsolvable group takes one D-step per step of its series, the
+    first in the group itself, and each step is the D-step walk's."""
+    calls = _count_d_steps(monkeypatch)
+    for g in (symmetric_group(5), sl_group(2, 5),
+              direct_product(alternating_group(5), cyclic_group(2))):
+        assert not is_solvable(g)
+        calls.clear()
+        rep = generalized_derived_series(g)
+        assert len(calls) == rep.length and calls[0] is g, g.name
+        assert [t.member_set for t in rep.terms] == \
+            [t.member_set for t in _d_step_walk(g)], g.name
 
 
 def test_simple_nonabelian_cases_take_one_d_step(monkeypatch):
@@ -316,6 +380,32 @@ def test_solvable_coincidence_decomposes_every_step(monkeypatch):
     _fake_last_step(monkeypatch, symmetric_group(3))
     with pytest.raises(DecompositionFailed):
         _solvable_coincidence(g)
+
+
+def test_solvable_coincidence_rejects_a_wrong_chain(monkeypatch):
+    """solvable-coincidence compares the series a solvable group reads
+    from its derived walk with the D-steps taken by definition, so a wrong
+    chain fails it, even one whose steps are abelian: here D4 > C4 > 1 in
+    place of D4 > Z(D4) > 1."""
+    assert _solvable_coincidence(dihedral_group(4))[0]
+    g = dihedral_group(4)
+    c4 = next(s for s in all_normal_subgroups(g) if s.order == 4 and
+              any(g.element_order(x) == 4 for x in s.members))
+    wrong = (c4, Subgroup(g, (0,), normal=True))
+    real = series.solvable_derived_chain
+    monkeypatch.setattr(series, "solvable_derived_chain",
+                        lambda G: wrong if G is g else real(G))
+    ok, detail = _solvable_coincidence(g)
+    assert not ok and detail == "orders (8, 4, 1)", detail
+
+
+def test_solvable_coincidence_takes_the_d_steps(monkeypatch):
+    """The suite's own D-steps are read: a D that gives 1 for every group
+    fails it on S4, whose series and derived series still agree."""
+    assert _solvable_coincidence(symmetric_group(4))[0]
+    monkeypatch.setattr(verify, "generalized_derived_subgroup",
+                        trivial_subgroup)
+    assert not _solvable_coincidence(symmetric_group(4))[0]
 
 
 def _explicit_factors(terms):

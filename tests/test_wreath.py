@@ -18,6 +18,7 @@ from aslkit.families import (
     symmetric_group,
 )
 from aslkit.fpmod import LinearAction, as_group_action
+from aslkit.series import generalized_derived_series
 from aslkit.verify import _a5_wreath_c2, _a5_wreath_s3
 from aslkit.wreath import (
     induced_group,
@@ -181,6 +182,19 @@ def test_msigma_no_witness_when_hypothesis_fails():
     c2 = cyclic_group(2)
     w = msigma_witness(cyclic_group(2), c2, full_subgroup(c2), m=0)
     assert w is None
+
+
+def test_msigma_witness_past_the_end_of_the_series():
+    """C2 wr C2 = D4 has the series D4 > Z(D4) > 1, which reaches the
+    identity before depth m + 1 for m >= 2: the (m+1)-st term is then the
+    identity, so no witness exists, and the hypothesis fails with it."""
+    c2 = cyclic_group(2)
+    w = twisted_wreath_product(cyclic_group(2), c2, trivial_subgroup(c2))
+    assert generalized_derived_series(w.group).orders() == (8, 2, 1)
+    for m in (1, 2, 5):
+        assert not msigma_hypothesis(c2, trivial_subgroup(c2), m)
+        assert msigma_witness(cyclic_group(2), c2, trivial_subgroup(c2),
+                              m=m) is None, m
 
 
 def test_elementary_abelian_wreath_intersection(s3):
