@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .core import direct_product
+from .core import direct_product, group_from_perm_generators
 from .families import (
     alternating_group,
     cyclic_group,
@@ -85,7 +85,6 @@ def transitive_catalog(max_degree=6):
 
 
 def _regular_cyclic(n):
-    from .core import group_from_perm_generators
     if n == 1:
         return group_from_perm_generators(1, [], name="C1")
     cyc = "(" + " ".join(str(i) for i in range(1, n + 1)) + ")"

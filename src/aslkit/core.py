@@ -791,8 +791,8 @@ def direct_product_many(factors, name=None, closure_cap=CLOSURE_CAP):
     return P
 
 
-def direct_product(G, H, closure_cap=CLOSURE_CAP):
-    return direct_product_many([G, H], closure_cap=closure_cap)
+def direct_product(G, H):
+    return direct_product_many([G, H])
 
 
 def product_embedding(P, k):
@@ -927,7 +927,7 @@ def local_quotient(a, b):
     return quotient(host, Subgroup(host, members, normal=True))
 
 
-def fiber_product(alpha, beta, closure_cap=CLOSURE_CAP):
+def fiber_product(alpha, beta):
     """Subgroup {(g,h) : alpha(g) = beta(h)} of G x H for surjections onto K."""
     if alpha.target is not beta.target:
         raise NotSurjective("alpha and beta must land in the same group")
@@ -935,7 +935,7 @@ def fiber_product(alpha, beta, closure_cap=CLOSURE_CAP):
         raise NotSurjective("fiber product needs surjective maps")
     G, H, K = alpha.source, beta.source, alpha.target
     total = G.order * H.order // K.order
-    if total > closure_cap:
+    if total > CLOSURE_CAP:
         raise CapExceeded(f"fiber product order {total} exceeds cap")
     am, bm = alpha.mapping, beta.mapping
     values = [(i, j) for i in range(G.order) for j in range(H.order)
@@ -1083,15 +1083,15 @@ def check_group_axioms(G):
     return problems
 
 
-def find_isomorphism(G, H, cap=200):
+def find_isomorphism(G, H):
     """Backtracking generator-image search; None if no isomorphism is found.
 
-    Adequate for order <= cap; used by tests and small structure checks only.
+    Adequate for order <= 200; used by tests and small structure checks only.
     """
     if G.order != H.order:
         return None
-    if G.order > cap:
-        raise CapExceeded(f"isomorphism search capped at order {cap}")
+    if G.order > 200:
+        raise CapExceeded("isomorphism search capped at order 200")
     if sorted(len(c) for c in conjugacy_classes(G)) != \
             sorted(len(c) for c in conjugacy_classes(H)):
         return None
@@ -1146,5 +1146,5 @@ def extend_along_cayley_graph(G, images, compose, identity):
     return out if len(queue) == G.order else None
 
 
-def is_isomorphic(G, H, cap=200):
-    return find_isomorphism(G, H, cap=cap) is not None
+def is_isomorphic(G, H):
+    return find_isomorphism(G, H) is not None

@@ -19,12 +19,13 @@ import operator
 from .core import (
     FrozenRecord,
     Group,
+    GroupAction,
     Subgroup,
     extend_along_cayley_graph,
     set_field,
 )
 from .errors import DimensionTooLarge, NotAnAction, PropositionViolated
-from .matgroups import mat_identity
+from .matgroups import mat_identity, unitriangular_group
 from .series import derived_series, generalized_derived_series
 
 VECTOR_ENUM_CAP = 2 ** 20
@@ -153,9 +154,9 @@ class LinearAction:
         return all(M == ident for M in self.matrices)
 
 
-def vector_group(p, dim, closure_cap=VECTOR_ENUM_CAP):
+def vector_group(p, dim):
     """The additive group F_p^dim with tuple values."""
-    if p ** dim > closure_cap:
+    if p ** dim > VECTOR_ENUM_CAP:
         raise DimensionTooLarge(f"p^dim = {p ** dim} exceeds cap")
     values = [tuple(reversed(v))
               for v in itertools.product(range(p), repeat=dim)]
@@ -179,7 +180,6 @@ def vector_group(p, dim, closure_cap=VECTOR_ENUM_CAP):
 
 def as_group_action(act: LinearAction):
     """Wrap a LinearAction as a GroupAction on the vector group F_p^dim."""
-    from .core import GroupAction
     V = vector_group(act.p, act.dim)
 
     def apply(a_idx, g_idx):
@@ -205,14 +205,15 @@ def invariant_span(act, vectors):
     return FpSubspace(p, act.dim, _canonical(basis))
 
 
-def is_irreducible(act, vector_cap=VECTOR_ENUM_CAP):
+def is_irreducible(act):
     """Exhaustive test: every nonzero vector must generate the whole space."""
     p, dim = act.p, act.dim
     if dim < 1:
         raise DimensionTooLarge("dimension must be at least 1")
     total = p ** dim
-    if total > vector_cap:
-        raise DimensionTooLarge(f"{total} vectors exceed cap {vector_cap}")
+    if total > VECTOR_ENUM_CAP:
+        raise DimensionTooLarge(
+            f"{total} vectors exceed cap {VECTOR_ENUM_CAP}")
     if dim == 1:
         return True
     vectors = itertools.product(range(p), repeat=dim)
@@ -222,7 +223,7 @@ def is_irreducible(act, vector_cap=VECTOR_ENUM_CAP):
     return True
 
 
-def coinvariant_span(act, vector_cap=VECTOR_ENUM_CAP):
+def coinvariant_span(act):
     """Span of {a^s - a} over all vectors a and all actor elements s.
 
     Linearity in a reduces this to the row spaces of (M_s - I); the result is
@@ -230,7 +231,7 @@ def coinvariant_span(act, vector_cap=VECTOR_ENUM_CAP):
     action is nontrivial and irreducible.
     """
     p, dim = act.p, act.dim
-    if p ** dim > vector_cap:
+    if p ** dim > VECTOR_ENUM_CAP:
         raise DimensionTooLarge("vector cap exceeded")
     basis = {}
     for M in act.matrices:
@@ -293,7 +294,7 @@ def coset_space(G, H: Subgroup):
     return GSet(G, len(reps), gen_images, labels=labels)
 
 
-def v_chain(G, X: GSet, p, depth, set_cap=SET_SIZE_CAP):
+def v_chain(G, X: GSet, p, depth):
     """Chain V_0 >= V_1 >= ... of subspaces of F_p^X.
 
     V_0 is the full function space; V_{i+1} is spanned by f - f^g with f in
@@ -305,8 +306,8 @@ def v_chain(G, X: GSet, p, depth, set_cap=SET_SIZE_CAP):
     """
     if X.group is not G:
         raise NotAnAction("X must be a G-set for the given G")
-    if X.size > set_cap:
-        raise DimensionTooLarge(f"|X| = {X.size} exceeds cap {set_cap}")
+    if X.size > SET_SIZE_CAP:
+        raise DimensionTooLarge(f"|X| = {X.size} exceeds cap {SET_SIZE_CAP}")
     series = generalized_derived_series(G)
     chain = [FpSubspace(p, X.size, mat_identity(X.size))]
     for i in range(depth):
@@ -326,13 +327,9 @@ def orbit_hypothesis(G, X: GSet, m):
     return any(len(X.orbit(x, term)) > bound for x in range(X.size))
 
 
-def unipotent_derived_length(n, p, closure_cap=None):
+def unipotent_derived_length(n, p):
     """Derived length of the unitriangular group U(n,p); always <= n-1."""
-    from .core import CLOSURE_CAP
-    from .matgroups import unitriangular_group
-    if closure_cap is None:
-        closure_cap = CLOSURE_CAP
-    U = unitriangular_group(n, p, closure_cap=closure_cap)
+    U = unitriangular_group(n, p)
     rep = derived_series(U)
     if not rep.terminates:
         raise PropositionViolated("unitriangular group must be solvable")

@@ -16,7 +16,9 @@ from .core import (
     Subgroup,
     Homomorphism,
     Record,
+    center,
     check_order,
+    commutator_subgroup,
     factorize,
     generate_group,
     is_isomorphic,
@@ -495,7 +497,6 @@ def _lie_type_proxy(Q, ell):
         return True, ("trivial layer",)
     if ell == 3 and Q.order == 12 and is_isomorphic(Q, alternating_group(4)):
         return True, ("proxy: degenerate Lie-type factor PSL(2,3) accepted",)
-    from .core import center, commutator_subgroup
     z = center(Q)
     if z.order > 1:
         return False, ("nontrivial center",)
@@ -572,8 +573,7 @@ def search_lp(Lam, ell, J):
     return None
 
 
-def corollary_decomposition(Lambda: Subgroup, ell, J,
-                            closure_cap=CLOSURE_CAP):
+def corollary_decomposition(Lambda: Subgroup, ell, J):
     """Normal ell-subgroup N of Lambda with l(Lambda/N) <= log2(J) + 2.
 
     Lambda must sit inside a GLZ-built ambient group. N is the preimage in
@@ -605,7 +605,7 @@ def corollary_decomposition(Lambda: Subgroup, ell, J,
                              lambda a, b: mat_mul(R1, a, b),
                              lambda a: mat_inv(R1, a),
                              mat_label, f"{L.name} mod {ell}",
-                             closure_cap=closure_cap, kind="matrix")
+                             kind="matrix")
         mapping = [bar.index_of(reduced(i)) for i in range(L.order)]
         to_bar = Homomorphism(L, bar, mapping)
     filt = search_lp(bar, ell, J)

@@ -177,7 +177,7 @@ def class_closures(G):
                         key=lambda s: (s.order, s.members)))
 
 
-def all_normal_subgroups(G, max_classes=LATTICE_CLASS_CAP):
+def all_normal_subgroups(G):
     """Complete NormalLattice: joins of members with single-class closures.
 
     Every normal subgroup is the join of the closures of its classes, so
@@ -193,9 +193,9 @@ def all_normal_subgroups(G, max_classes=LATTICE_CLASS_CAP):
         return lat
     classes = conjugacy_classes(G)
     ncl = len(classes)
-    if ncl > max_classes:
-        raise TooManyClasses(
-            f"{G.name}: {ncl} conjugacy classes exceed cap {max_classes}")
+    if ncl > LATTICE_CLASS_CAP:
+        raise TooManyClasses(f"{G.name}: {ncl} conjugacy classes exceed "
+                             f"cap {LATTICE_CLASS_CAP}")
     sizes = [len(c) for c in classes]
     orders = {}
 

@@ -13,8 +13,7 @@ quotients of G, whose classes `core.conjugacy_classes` fuses from G's. The
 shared class partition, its fusion into quotients and the spans are
 checked against element-level closures and brute-force conjugation in the
 tests, so agreement here is still meaningful evidence. Performance is a
-non-goal; the
-enumeration is exponential in the class count.
+non-goal; the enumeration is exponential in the class count.
 """
 
 from __future__ import annotations

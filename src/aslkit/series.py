@@ -57,10 +57,10 @@ from .core import (
     local_quotient,
     quotient,
     set_field,
-    subgroup_derived,
 )
 from .errors import DecompositionFailed
 from .normal import (
+    _derived_chain,
     all_normal_subgroups,
     simple_factor_orders,
     solvable_derived_chain,
@@ -212,16 +212,7 @@ def derived_series(G):
     Terminates at 1 for solvable groups and stabilizes at a perfect subgroup
     otherwise; factors are abelian and reported by invariant factors.
     """
-    terms = [full_subgroup(G)]
-    while True:
-        cur = terms[-1]
-        nxt = subgroup_derived(cur)
-        if nxt.order == cur.order:
-            break
-        terms.append(nxt)
-        if nxt.order == 1:
-            break
-    return _report(G, terms)
+    return _report(G, _derived_chain(full_subgroup(G)))
 
 
 def _report(G, terms):
@@ -325,11 +316,7 @@ def generalized_derived_series(G, max_steps=None):
 
 def abelian_simple_length(G):
     """Number of generalized-derived steps from G down to the identity."""
-    cached = G._cache.get("asl")
-    if cached is None:
-        cached = generalized_derived_series(G).length
-        G._cache["asl"] = cached
-    return cached
+    return generalized_derived_series(G).length
 
 
 # -- factor structure --------------------------------------------------------------

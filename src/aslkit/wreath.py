@@ -37,6 +37,7 @@ from .core import (
     mixed_radix,
     quotient,
     semidirect_product,
+    trivial_action,
     trivial_subgroup,
 )
 from .errors import CapExceeded, NotAnAction, NotInvariant, PropositionViolated
@@ -44,7 +45,7 @@ from .series import generalized_derived_series
 
 
 def induced_group(A, G, G0: Subgroup, act: GroupAction = None,
-                  closure_cap=CLOSURE_CAP, validate=False):
+                  closure_cap=CLOSURE_CAP):
     """Group of G0-equivariant functions G -> A, plus the right G-action on it.
 
     act is a right action of the materialized G0 on A; None means trivial.
@@ -52,12 +53,9 @@ def induced_group(A, G, G0: Subgroup, act: GroupAction = None,
     """
     G0_group = G0.as_group()
     if act is None:
-        from .core import trivial_action
         act = trivial_action(G0_group, A)
     if act.space is not A or act.actor is not G0_group:
         raise NotAnAction("action must act on A with actor G0.as_group()")
-    if validate:
-        act.validate()
     reps, rep_of = left_coset_reps(G, G0)
     m = len(reps)
     check_order(closure_cap, f"{A.name}^{m}", (A.order for _ in range(m)))
@@ -120,17 +118,13 @@ class WreathElement(Record):
 
 
 class WreathProduct(Record):
-    """A wr_{G0} G with its distinguished subgroups."""
-    __slots__ = ("group", "ind", "ind_g0", "g_copy", "fix1", "a", "g", "g0",
-                 "ind_group", "reps", "action")
+    """A wr_{G0} G with its induced normal subgroup."""
+    __slots__ = ("group", "ind", "a", "g", "g0", "ind_group", "reps",
+                 "action")
 
-    def __init__(self, group, ind, ind_g0, g_copy, fix1, a, g, g0,
-                 ind_group, reps, action):
+    def __init__(self, group, ind, a, g, g0, ind_group, reps, action):
         self.group = group
         self.ind = ind              # the induced normal subgroup
-        self.ind_g0 = ind_g0        # Ind x| G0
-        self.g_copy = g_copy        # the complement copy of G
-        self.fix1 = fix1            # {f : f(1) = 1} inside Ind
         self.a = a
         self.g = g
         self.g0 = g0
@@ -147,10 +141,9 @@ class WreathProduct(Record):
 
 
 def twisted_wreath_product(A, G, G0: Subgroup, act: GroupAction = None,
-                           closure_cap=CLOSURE_CAP, validate=False):
-    """Build A wr_{G0} G = Ind x| G with its distinguished subgroups."""
-    Ind, g_action = induced_group(A, G, G0, act, closure_cap=closure_cap,
-                                  validate=validate)
+                           closure_cap=CLOSURE_CAP):
+    """Build A wr_{G0} G = Ind x| G with its induced normal subgroup."""
+    Ind, g_action = induced_group(A, G, G0, act, closure_cap=closure_cap)
     if Ind.order * G.order > closure_cap:
         raise CapExceeded("wreath order exceeds cap")
     m = Ind.structure["m"]
@@ -165,19 +158,9 @@ def twisted_wreath_product(A, G, G0: Subgroup, act: GroupAction = None,
     ind_members = [f * G.order for f in range(Ind.order)]
     ind_sub = Subgroup(W, ind_members, normal=True,
                        gens=[g * G.order for g in Ind.generators])
-    indg0_members = [f * G.order + s for f in range(Ind.order)
-                     for s in G0.members]
-    indg0 = Subgroup(W, indg0_members)
-    g_members = list(range(G.order))
-    g_copy = Subgroup(W, g_members, gens=list(G.generators))
-    fix1_members = []
-    for f in range(Ind.order):
-        if Ind.value(f)[0] == 0:
-            fix1_members.append(f * G.order)
-    fix1 = Subgroup(W, fix1_members)
-    return WreathProduct(group=W, ind=ind_sub, ind_g0=indg0, g_copy=g_copy,
-                         fix1=fix1, a=A, g=G, g0=G0, ind_group=Ind,
-                         reps=Ind.structure["reps"], action=g_action)
+    return WreathProduct(group=W, ind=ind_sub, a=A, g=G, g0=G0,
+                         ind_group=Ind, reps=Ind.structure["reps"],
+                         action=g_action)
 
 
 def realization_chain(W: WreathProduct):
@@ -186,7 +169,13 @@ def realization_chain(W: WreathProduct):
     Returns (subgroups, successive indices); the indices equal
     [G:G0], |G0|, |A|, |A|^([G:G0]-1).
     """
-    chain = [full_subgroup(W.group), W.ind_g0, W.ind, W.fix1,
+    Ind, n = W.ind_group, W.g.order
+    # value (f_idx, s) sits at index f_idx * |G| + s
+    ind_g0 = Subgroup(W.group, [f * n + s for f in range(Ind.order)
+                                for s in W.g0.members])
+    fix1 = Subgroup(W.group, [f * n for f in range(Ind.order)
+                              if Ind.value(f)[0] == 0])
+    chain = [full_subgroup(W.group), ind_g0, W.ind, fix1,
              trivial_subgroup(W.group)]
     indices = []
     for big, small in zip(chain, chain[1:]):
@@ -202,14 +191,13 @@ def realization_chain(W: WreathProduct):
 
 
 def wreath_quotient(A, A0: Subgroup, G, G0: Subgroup,
-                    act: GroupAction = None, closure_cap=CLOSURE_CAP):
+                    act: GroupAction = None):
     """Surjection A wr G -> (A/A0) wr G; kernel is Ind(A0).
 
     A0 must be normal in A and invariant under the G0-action.
     """
     G0_group = G0.as_group()
     if act is None:
-        from .core import trivial_action
         act = trivial_action(G0_group, A)
     A0.require_normal()
     app = act.apply
@@ -223,9 +211,8 @@ def wreath_quotient(A, A0: Subgroup, G, G0: Subgroup,
         return pi(app(Abar.value(q_idx), t))
 
     act_bar = GroupAction(G0_group, Abar, bar_apply)
-    W = twisted_wreath_product(A, G, G0, act, closure_cap=closure_cap)
-    Wbar = twisted_wreath_product(Abar, G, G0, act_bar,
-                                  closure_cap=closure_cap)
+    W = twisted_wreath_product(A, G, G0, act)
+    Wbar = twisted_wreath_product(Abar, G, G0, act_bar)
     Ind, IndBar = W.ind_group, Wbar.ind_group
     mapping = []
     for w in range(W.group.order):

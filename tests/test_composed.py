@@ -201,7 +201,8 @@ def test_twisted_wreath_products_with_nontrivial_action(A, G, data):
         g, img = G.mul(g, c), A.mul(img, a)
     act = GroupAction(G0g, A, lambda x, t: A.conj(x, phi[t]))
     assume(not act.is_trivial())
-    w = twisted_wreath_product(A, G, G0, act, validate=True)
+    act.validate()
+    w = twisted_wreath_product(A, G, G0, act)
     Ind, reps = w.ind_group, w.reps
     g0_pos = {p: i for i, p in enumerate(G0.members)}
 

@@ -83,7 +83,7 @@ def test_lattice_closed_under_meet_join(s4, q8, c6):
 
 def test_class_cap():
     with pytest.raises(TooManyClasses):
-        all_normal_subgroups(cyclic_group(30), max_classes=16)
+        all_normal_subgroups(cyclic_group(65))
 
 
 def test_maximal_normals(s4, c6):

@@ -222,9 +222,10 @@ def test_wreath_generated_by_one_coset_copy_and_g(s3):
     c3 = cyclic_group(3)
     inversion = GroupAction(g0.as_group(), c3,
                             lambda a, t: c3.inv(a) if t else a)
+    inversion.validate()
     wreaths = [_a5_wreath_c2(), _a5_wreath_s3(),
                twisted_wreath_product(gact.space, s3, a3, gact),
-               twisted_wreath_product(c3, s3, g0, inversion, validate=True)]
+               twisted_wreath_product(c3, s3, g0, inversion)]
     for w in wreaths:
         W = w.group
         assert len(W.generators) == len(w.a.generators) + len(w.g.generators)
