@@ -387,7 +387,11 @@ class Subgroup:
     def lift(self, sub):
         """The Subgroup of the parent made of members[k] for every index k
         of sub, a Subgroup of local_group() whose image the caller knows
-        to be normal in the parent."""
+        to be normal in the parent: sub itself, marked normal, when
+        local_group() is the parent."""
+        if sub.parent is self.parent:
+            sub.normal = True
+            return sub
         return Subgroup(self.parent, [self.members[k] for k in sub.members],
                         normal=True)
 

@@ -363,6 +363,42 @@ def is_solvable(G):
     return _perfect_residuum(G).order == 1
 
 
+def _span_is_solvable(G, mask, c):
+    """True iff the normal subgroup N = <c^G>, of class mask `mask`, is
+    solvable, decided on the class layer by the derived series of N.
+
+    If N is generated by the classes S, then [N, N] is the normal closure
+    of the commutators [y, x] over the pairs {s, t} of S, with y the first
+    member of one class of the pair and x running over the other: modulo
+    that closure y commutes with the whole class, so by conjugation every
+    member of s commutes with every member of t, and these members
+    generate N. As in `_span`, the smaller class of a pair is walked. The
+    classes of the commutators generate [N, N] in turn.
+    """
+    classes = conjugacy_classes(G)
+    cls_of = class_index_of(G)
+    mul, inv = G.mul, G.inv
+    gen = (c,)
+    while mask != 1:
+        hit = set()
+        for i, s in enumerate(gen):
+            for t in gen[i:]:
+                cs, ct = classes[s], classes[t]
+                if len(cs) < len(ct):
+                    cs, ct = ct, cs
+                y = cs[0]
+                yi = inv(y)
+                for x in ct:
+                    hit.add(cls_of[mul(mul(yi, inv(x)), mul(y, x))])
+        hit.discard(0)
+        gen = tuple(sorted(hit))
+        derived = _span(G, 1, gen)
+        if derived == mask:
+            return False
+        mask = derived
+    return True
+
+
 def solvable_radical(G):
     """Largest solvable normal subgroup.
 
@@ -374,7 +410,8 @@ def solvable_radical(G):
     subgroup is a union of such classes, and a product of solvable normal
     subgroups is solvable. The single-class spans are tested smallest
     first: one that contains P is not solvable, one inside the solvable
-    span found so far is, and only the rest run the derived series.
+    span found so far is, and only the rest run the derived series, on
+    the class layer (`_span_is_solvable`): no subgroup of G is closed.
     """
     rad = G._cache.get("radical")
     if rad is None:
@@ -393,7 +430,7 @@ def solvable_radical(G):
             for mask in smallest_first:
                 if mask & res_mask == res_mask or mask & solvable == mask:
                     continue
-                if is_solvable_subgroup(_subgroup_of(G, mask)):
+                if _span_is_solvable(G, mask, spans[mask]):
                     solvable = _span(G, solvable, (spans[mask],))
             rad = _subgroup_of(G, solvable)
         G._cache["radical"] = rad

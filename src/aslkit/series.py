@@ -28,19 +28,31 @@ step quotients instead of building a second chain. `verify_certificate`
 reads none of these: it rebuilds every step in a fresh materialization.
 The ordinary derived series shares the factor loop.
 
-D0 is computed through the solvable radical R: every maximal normal subgroup
-with nonabelian (simple) quotient contains R, because the image of a solvable
-normal subgroup in a nonabelian simple quotient is trivial. Working in G/R
-keeps the lattice enumeration away from large abelian groups, whose class
-counts would otherwise blow past the enumeration cap.
+D0 is computed inside the perfect residuum P, the last term of the
+derived series (`normal._perfect_residuum`). Let M be a maximal normal
+subgroup of G with G/M nonabelian simple. Then G/M is perfect, so MP = G,
+and L = M n P is a G-invariant maximal normal subgroup of P with P/L
+isomorphic to G/M. Since [M, P] <= L, M centralizes P/L, and as P/L has a
+trivial center, C_G(P/L) meets P in L, so M = C_G(P/L). Conversely, for a
+G-invariant maximal normal subgroup L of P with G = P C_G(P/L), the
+quotient G/C_G(P/L) is P/L. So M -> M n P is a bijection onto those L,
+with inverse L -> C_G(P/L), and D0(G) is the intersection of these
+centralizers, or G when there are none. When P = G the centralizer is L
+itself. The candidates L contain the solvable radical R(P), so they are
+read from the maximal members of the normal lattice of P/R(P): the class
+layer, and with it the class cap, is met only in P and in P/R(P), never
+in G, and the abelian or solvable part of G, whose class count would blow
+past the cap, stays out of it. P's materialized group is perfect, and is
+marked so, not closed again; when D0 is all of G, D(G) is the cached G'
+itself, so the next D-step starts in a group whose classes are known.
 
-R is found from the derived series first (`normal.solvable_radical`). For a
-solvable G the walk reaches 1, so R = G, D0 = G and D(G) = G'. The same
-holds for every term, so the series of a solvable group is its derived
-series: it is read from the walk that decided solvability
+For a solvable G the derived walk reaches 1, so P = 1, D0 = G and D(G) =
+G'. The same holds for every term, so the series of a solvable group is
+its derived series: it is read from the walk that decided solvability
 (`normal.solvable_derived_chain`), with no D-step, no materialized term
 and no conjugacy class, class span or lattice. Only a group with a
-nontrivial perfect residuum takes D-steps and reaches the class layer.
+nontrivial perfect residuum takes D-steps, and its class layer is that of
+P, not of G.
 """
 
 from __future__ import annotations
@@ -52,15 +64,17 @@ from .core import (
     commutator_subgroup,
     factorize,
     full_subgroup,
-    identity_hom,
     is_abelian,
+    left_coset_reps,
     local_quotient,
     quotient,
     set_field,
+    subgroup_closure,
 )
 from .errors import DecompositionFailed
 from .normal import (
     _derived_chain,
+    _perfect_residuum,
     all_normal_subgroups,
     simple_factor_orders,
     solvable_derived_chain,
@@ -230,38 +244,77 @@ def d0_subgroup(G):
     """Intersection of maximal normal subgroups with nonabelian quotient.
 
     Equals G when no nonabelian simple quotient exists (empty intersection
-    convention). Computed in G/(solvable radical); see the module docstring.
+    convention). Computed inside the perfect residuum P, whose maximal
+    normal subgroups are read from the lattice of P/R(P): such a subgroup
+    L gives the maximal normal subgroup C_G(P/L) of G exactly when it is
+    G-invariant and P C_G(P/L) = G; see the module docstring.
     """
     cached = G._cache.get("d0")
     if cached is not None:
         return cached
-    if G.order == 1:
+    P = _perfect_residuum(G)
+    out = None
+    if P.order > 1:
+        host = P.local_group()
+        if host is not G:
+            # P is perfect: its materialized group is its own derived
+            # subgroup and residuum, which are not closed again
+            full = full_subgroup(host)
+            host._cache.setdefault("derived", full)
+            host._cache.setdefault("perfect_residuum", full)
+        rad = solvable_radical(host)
+        if rad.order == 1:
+            # host/1 would be a second copy of host
+            maxn = all_normal_subgroups(host).maximal_proper()
+        else:
+            Q, pi = quotient(host, rad)
+            maxn = [pi.preimage(m)
+                    for m in all_normal_subgroups(Q).maximal_proper()]
+        for L in maxn:
+            # C_G(G/L) = L, since G/L is simple and nonabelian
+            M = L if host is G else _section_centralizer(G, P, L)
+            if M is not None:
+                out = M if out is None else out.intersect(M)
+    if out is None:
         out = full_subgroup(G)
-        G._cache["d0"] = out
-        return out
-    rad = solvable_radical(G)
-    if rad.order == G.order:
-        out = full_subgroup(G)
-        G._cache["d0"] = out
-        return out
-    if rad.order == 1:
-        # G/1 would be a second copy of G with its own product memo
-        Q, pi = G, identity_hom(G)
-    else:
-        Q, pi = quotient(G, rad)
-    gprime_q = commutator_subgroup(Q)
-    maxn = all_normal_subgroups(Q).maximal_proper()
-    keep = [m for m in maxn if not gprime_q.member_set <= m.member_set]
-    if not keep:
-        out = full_subgroup(G)
-    else:
-        inter = keep[0]
-        for m in keep[1:]:
-            inter = inter.intersect(m)
-        out = pi.preimage(inter)
-        out.normal = True
+    out.normal = True
     G._cache["d0"] = out
     return out
+
+
+def _section_centralizer(G, P, L):
+    """C = C_G(P/L) for a proper normal subgroup P of G and a maximal
+    normal subgroup L of P (a Subgroup of P.as_group()) with P/L
+    nonabelian simple, when L is G-invariant and CP = G; None otherwise.
+
+    C n P = L, since P/L has a trivial center, so C meets a coset tP in
+    one coset of L or not at all, and CP = G holds iff the coset of each
+    generator of G does meet C. Each such coset is searched for one
+    element t*p, p running over coset representatives of L in P, that
+    fixes every generator of P modulo L; C is generated by L and the
+    elements found.
+    """
+    host = P.as_group()
+    to_g = P.members
+    l_members = [to_g[k] for k in L.members]
+    l_set = frozenset(l_members)
+    outside = [g for g in G.generators if g not in P.member_set]
+    # P normalizes L; the rest of G must too
+    if any(G.conj(x, g) not in l_set for g in outside for x in l_members):
+        return None
+    reps, coset = left_coset_reps(host, L)
+    p_gens = [(to_g[x], coset[x]) for x in host.generators]
+    pos = host.index_of
+    found = []
+    for g in outside:
+        for r in reps:
+            c = G.mul(g, to_g[r])
+            if all(coset[pos(G.conj(x, c))] == k for x, k in p_gens):
+                found.append(c)
+                break
+        else:
+            return None
+    return Subgroup(G, subgroup_closure(G, l_members + found), normal=True)
 
 
 def generalized_derived_subgroup(G):
@@ -272,8 +325,11 @@ def generalized_derived_subgroup(G):
         return cached
     d0 = d0_subgroup(G)
     gp = commutator_subgroup(G)
-    out = d0.intersect(gp)
-    out.normal = True
+    if d0.order == G.order:
+        out = gp
+    else:
+        out = d0.intersect(gp)
+        out.normal = True
     G._cache["gds"] = out
     return out
 

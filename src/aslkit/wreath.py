@@ -49,8 +49,11 @@ def induced_group(A, G, G0: Subgroup, act: GroupAction = None,
     """Group of G0-equivariant functions G -> A, plus the right G-action on it.
 
     act is a right action of the materialized G0 on A; None means trivial.
-    Returns (Ind, action of G on Ind).
+    G0 must be a Subgroup of G itself, since its members are read as
+    indices of G. Returns (Ind, action of G on Ind).
     """
+    if G0.parent is not G:
+        raise NotAnAction("G0 must be a subgroup of G")
     G0_group = G0.as_group()
     if act is None:
         act = trivial_action(G0_group, A)

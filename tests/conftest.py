@@ -48,3 +48,22 @@ def v4():
 @pytest.fixture(scope="session")
 def c6():
     return cyclic_group(6)
+
+
+@pytest.fixture
+def record_calls(monkeypatch):
+    """record_calls(owner, name) wraps the function `owner.name` for the
+    rest of the test and returns the list, filled as calls are made, of
+    the first argument of each call (the group, or `self` for a method)."""
+    def record(owner, name):
+        calls = []
+        real = getattr(owner, name)
+
+        def recording(first, *args, **kwargs):
+            calls.append(first)
+            return real(first, *args, **kwargs)
+
+        monkeypatch.setattr(owner, name, recording)
+        return calls
+
+    return record

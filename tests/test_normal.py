@@ -34,6 +34,7 @@ from aslkit.normal import (
     _class_spans,
     _residuum,
     _span,
+    _span_is_solvable,
     all_normal_subgroups,
     class_closures,
     is_simple,
@@ -275,6 +276,22 @@ def test_solvable_radical_matches_element_level_definition():
         rad = solvable_radical(g)
         assert rad.member_set == ref.member_set, g.name
         assert is_solvable(g) == (rad.order == g.order), g.name
+
+
+def test_span_solvability_matches_the_element_level_walk():
+    """The class-level derived series of each single-class span decides
+    solvability as the element-level derived series of its closure does,
+    on the nonsolvable groups of the sweep and on both A5 wreaths' Ind."""
+    groups = [g for g in _element_level_groups() if not is_solvable(g)]
+    groups += [w.ind_group for w in (_a5_wreath_c2(), _a5_wreath_s3())]
+    seen = 0
+    for g in groups:
+        for mask, c in _class_spans(g).items():
+            sub = normal_closure(g, (conjugacy_classes(g)[c][0],))
+            assert _span_is_solvable(g, mask, c) == \
+                is_solvable_subgroup(sub), (g.name, c)
+            seen += not is_solvable_subgroup(sub)
+    assert seen >= 20
 
 
 def test_residuum_walks_on_the_generators_it_has(monkeypatch):

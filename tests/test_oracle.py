@@ -30,22 +30,15 @@ def test_oracle_class_cap():
     assert len(oracle_normal_subgroups(cyclic_group(18), max_classes=18)) == 6
 
 
-def test_oracle_enumerates_each_group_once(monkeypatch):
+def test_oracle_enumerates_each_group_once(record_calls):
     """The lattice, D and the length of one group enumerate its class
     unions once; a cap below its class count still raises afterwards."""
-    calls = []
-    enumerate_ = oracle._closed_class_masks
-
-    def counting(G, max_classes):
-        calls.append(G.order)
-        return enumerate_(G, max_classes)
-
-    monkeypatch.setattr(oracle, "_closed_class_masks", counting)
+    calls = record_calls(oracle, "_closed_class_masks")
     g = symmetric_group(4)
     assert oracle_normal_subgroups(g) is oracle_normal_subgroups(g)
     assert oracle_D(g).order == 12
     assert oracle_length(g, max_classes=24) == 3
-    assert calls.count(24) == 1
+    assert [G.order for G in calls].count(24) == 1
     c18 = cyclic_group(18)
     assert len(oracle_normal_subgroups(c18, max_classes=18)) == 6
     with pytest.raises(TooManyClasses):

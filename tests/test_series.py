@@ -84,20 +84,7 @@ def _fresh_solvable_catalog(max_order):
             for name, g in catalog(max_order) if is_solvable(g)]
 
 
-def _count_d_steps(monkeypatch):
-    """Record the group of every D-step the series takes."""
-    calls = []
-    real = series.generalized_derived_subgroup
-
-    def counting(G):
-        calls.append(G)
-        return real(G)
-
-    monkeypatch.setattr(series, "generalized_derived_subgroup", counting)
-    return calls
-
-
-def test_max_steps_bounds_the_d_steps(monkeypatch):
+def test_max_steps_bounds_the_d_steps(record_calls):
     """max_steps=k takes at most k D-steps and gives the first k + 1 terms
     of the full series, also for each solvable catalog group of order
     <= 48, whose series is cut from its derived chain; the old keyword is
@@ -105,7 +92,7 @@ def test_max_steps_bounds_the_d_steps(monkeypatch):
     groups = [symmetric_group(4), sl_group(2, 3),
               direct_product(alternating_group(5), cyclic_group(2))] + \
         [g for _, g in _fresh_solvable_catalog(48)]
-    calls = _count_d_steps(monkeypatch)
+    calls = record_calls(series, "generalized_derived_subgroup")
     for g in groups:
         full = generalized_derived_series(g)
         for k in range(full.length + 2):
@@ -118,36 +105,29 @@ def test_max_steps_bounds_the_d_steps(monkeypatch):
         generalized_derived_series(groups[0], max_terms=1)
 
 
-def test_solvable_series_is_the_d_step_walk(monkeypatch):
+def test_solvable_series_is_the_d_step_walk(record_calls):
     """For every solvable catalog group of order <= 48 the series equals
     the D-step walk term by term, and computing and reading its terms
     takes no D-step and builds no group."""
-    built = []
-    init = Group.__init__
-
-    def counting_init(self, *args, **kwargs):
-        built.append(self)
-        init(self, *args, **kwargs)
-
     groups = _fresh_solvable_catalog(48)
     assert len(groups) >= 400
-    calls = _count_d_steps(monkeypatch)
+    built = record_calls(Group, "__init__")
+    calls = record_calls(series, "generalized_derived_subgroup")
     for name, g in groups:
-        with monkeypatch.context() as m:
-            m.setattr(Group, "__init__", counting_init)
-            rep = generalized_derived_series(g)
-            terms = [t.member_set for t in rep.terms]
+        built.clear()
+        calls.clear()
+        rep = generalized_derived_series(g)
+        terms = [t.member_set for t in rep.terms]
         assert built == [] and calls == [], name
         walk = _d_step_walk(g)
         assert terms == [t.member_set for t in walk], name
         assert rep.terminates and rep.length == len(walk) - 1, name
-        calls.clear()
 
 
-def test_nonsolvable_series_takes_its_d_steps(monkeypatch):
+def test_nonsolvable_series_takes_its_d_steps(record_calls):
     """A nonsolvable group takes one D-step per step of its series, the
     first in the group itself, and each step is the D-step walk's."""
-    calls = _count_d_steps(monkeypatch)
+    calls = record_calls(series, "generalized_derived_subgroup")
     for g in (symmetric_group(5), sl_group(2, 5),
               direct_product(alternating_group(5), cyclic_group(2))):
         assert not is_solvable(g)
@@ -158,10 +138,10 @@ def test_nonsolvable_series_takes_its_d_steps(monkeypatch):
             [t.member_set for t in _d_step_walk(g)], g.name
 
 
-def test_simple_nonabelian_cases_take_one_d_step(monkeypatch):
+def test_simple_nonabelian_cases_take_one_d_step(record_calls):
     """Each simple-nonabelian case reads H^(1) only, so it takes exactly
     one D-step on its wreath product."""
-    calls = _count_d_steps(monkeypatch)
+    calls = record_calls(series, "generalized_derived_subgroup")
     wreaths = (_a5_wreath_c2(), _a5_wreath_s3())
     for (name, case), w in zip(_simple_nonabelian_cases(), wreaths):
         # the second run finds the series of G cached, so every D-step
@@ -306,44 +286,30 @@ def test_certificate_mixed(a5):
     assert verify_certificate(rep)
 
 
-def test_certificate_builds_no_group_after_the_series(s4, a5, monkeypatch):
+def test_certificate_builds_no_group_after_the_series(s4, a5, record_calls):
     """The certificate reuses the report's terms, factors and step
     quotients, so once the series and its factors are known it constructs
     no Group."""
     mixed = direct_product(a5, cyclic_group(2))
     assert [f.kind for f in generalized_derived_series(mixed).factors] == \
         ["mixed"]
-    built = []
-    init = Group.__init__
-
-    def counting_init(self, *args, **kwargs):
-        built.append(self)
-        init(self, *args, **kwargs)
-
+    built = record_calls(Group, "__init__")
     for g in (s4, mixed, sl_group(2, 3)):
         generalized_derived_series(g).factors
-        with monkeypatch.context() as m:
-            m.setattr(Group, "__init__", counting_init)
-            rep = subnormal_certificate(g)
+        built.clear()
+        rep = subnormal_certificate(g)
         assert built == [], g.name
         assert verify_certificate(rep)
 
 
-def test_last_step_reads_its_host(monkeypatch):
+def test_last_step_reads_its_host(record_calls):
     """The factor of a last step X -> 1 is read from X itself: reading the
     factors of a simple or an abelian group builds no group."""
-    built = []
-    init = Group.__init__
-
-    def counting_init(self, *args, **kwargs):
-        built.append(self)
-        init(self, *args, **kwargs)
-
+    built = record_calls(Group, "__init__")
     for g in (alternating_group(5), cyclic_group(12)):
         rep = generalized_derived_series(g)
-        with monkeypatch.context() as m:
-            m.setattr(Group, "__init__", counting_init)
-            rep.factors
+        built.clear()
+        rep.factors
         assert built == [], g.name
         Q, pi = local_quotient(*rep.terms)
         assert Q is g and pi.mapping == tuple(range(g.order))

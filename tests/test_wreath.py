@@ -11,7 +11,7 @@ from aslkit.core import (
     subgroup_generated,
     trivial_subgroup,
 )
-from aslkit.errors import CapExceeded, NotInvariant, NotNormal
+from aslkit.errors import CapExceeded, NotAnAction, NotInvariant, NotNormal
 from aslkit.families import (
     alternating_group,
     cyclic_group,
@@ -38,8 +38,8 @@ def _order2_subgroup(s3):
 
 def test_induced_order_examples(s3):
     c2 = cyclic_group(2)
-    ind, _ = induced_group(c2, cyclic_group(2),
-                           trivial_subgroup(cyclic_group(2)))
+    g = cyclic_group(2)
+    ind, _ = induced_group(c2, g, trivial_subgroup(g))
     assert ind.order == 4
     g0 = _order2_subgroup(s3)
     ind2, _ = induced_group(c2, s3, g0)
@@ -63,8 +63,8 @@ def test_induced_action_is_action(s3):
 
 def test_wreath_c2_c2_is_d4(d4):
     c2 = cyclic_group(2)
-    w = twisted_wreath_product(c2, cyclic_group(2),
-                               trivial_subgroup(cyclic_group(2)))
+    g = cyclic_group(2)
+    w = twisted_wreath_product(c2, g, trivial_subgroup(g))
     assert w.group.order == 8
     assert is_isomorphic(w.group, d4)
     assert check_group_axioms(w.group) == []
@@ -230,3 +230,14 @@ def test_wreath_generated_by_one_coset_copy_and_g(s3):
         W = w.group
         assert len(W.generators) == len(w.a.generators) + len(w.g.generators)
         assert len(subgroup_closure(W, W.generators)) == W.order, W.name
+
+
+def test_induced_group_refuses_a_foreign_g0():
+    """G0 must be a Subgroup of G: indices 0, 2, 4 of C6 read in S3 are
+    no subgroup, and gave a 24-element "wreath product"."""
+    s3 = symmetric_group(3)
+    foreign = subgroup_generated(cyclic_group(6), [2])
+    with pytest.raises(NotAnAction):
+        induced_group(cyclic_group(2), s3, foreign)
+    with pytest.raises(NotAnAction):
+        twisted_wreath_product(cyclic_group(2), s3, foreign)
