@@ -249,17 +249,18 @@ def _cmd_factors(args):
     return result, human, EXIT_OK
 
 
-def _build_wreath(args):
+def _wreath_inputs(args):
+    """A, G, G0 and the action (None: trivial) of --a/--g/--g0/--action."""
     A = group_from_spec(args.a, closure_cap=args.closure_cap)
     G = group_from_spec(args.g, closure_cap=args.closure_cap)
     G0 = _parse_g0(G, args.g0)
     act = _load_action(args.action, A, G0) if args.action else None
-    return A, G, G0, twisted_wreath_product(
-        A, G, G0, act, closure_cap=args.closure_cap), act
+    return A, G, G0, act
 
 
 def _cmd_wreath(args):
-    A, G, G0, W, _ = _build_wreath(args)
+    A, G, G0, act = _wreath_inputs(args)
+    W = twisted_wreath_product(A, G, G0, act, closure_cap=args.closure_cap)
     chain, indices = realization_chain(W)
     result = {
         "a": A.name, "g": G.name, "g0_order": G0.order,
@@ -275,10 +276,7 @@ def _cmd_wreath(args):
 
 
 def _cmd_msigma(args):
-    A = group_from_spec(args.a, closure_cap=args.closure_cap)
-    G = group_from_spec(args.g, closure_cap=args.closure_cap)
-    G0 = _parse_g0(G, args.g0)
-    act = _load_action(args.action, A, G0) if args.action else None
+    A, G, G0, act = _wreath_inputs(args)
     hyp = msigma_hypothesis(G, G0, args.m)
     wit = msigma_witness(A, G, G0, act, args.m,
                          closure_cap=args.closure_cap)
@@ -310,7 +308,7 @@ def _cmd_kernelcheck(args):
     ker = residue_kernel(args.n, args.l, args.k,
                          closure_cap=args.closure_cap)
     expected = args.l ** (args.n * args.n * (args.k - 1))
-    lgrp = is_l_group(ker.as_group(), args.l)
+    lgrp = is_l_group(ker, args.l)
     ok = ker.order == expected and lgrp
     result = {"n": args.n, "ell": args.l, "k": args.k,
               "kernel_order": ker.order, "expected": expected,

@@ -25,7 +25,13 @@ from .core import (
     set_field,
 )
 from .errors import DimensionTooLarge, NotAnAction, PropositionViolated
-from .matgroups import mat_identity, unitriangular_group
+from .matgroups import (
+    ResidueRing,
+    mat_identity,
+    mat_mod,
+    mat_mul,
+    unitriangular_group,
+)
 from .series import derived_series, generalized_derived_series
 
 VECTOR_ENUM_CAP = 2 ** 20
@@ -108,12 +114,6 @@ def _mat_vec(p, vec, mat):
                  for j in range(k))
 
 
-def _mat_mul(p, A, B):
-    k = len(A)
-    return tuple(tuple(sum(A[i][t] * B[t][j] for t in range(k)) % p
-                       for j in range(k)) for i in range(k))
-
-
 class LinearAction:
     """Right matrix action of a finite group on F_p^dim.
 
@@ -131,14 +131,15 @@ class LinearAction:
             raise NotAnAction("one matrix per actor generator required")
         norm = []
         for M in gen_matrices:
-            M = tuple(tuple(x % p for x in row) for row in M)
+            M = mat_mod(M, p)
             if len(M) != dim or any(len(r) != dim for r in M):
                 raise NotAnAction(f"matrices must be {dim}x{dim}")
             if len(rref(p, M)) != dim:
                 raise NotAnAction("generator matrix is singular")
             norm.append(M)
+        ring = ResidueRing(p)
         mats = extend_along_cayley_graph(
-            actor, norm, lambda A, B: _mat_mul(p, A, B), mat_identity(dim))
+            actor, norm, lambda A, B: mat_mul(ring, A, B), mat_identity(dim))
         if mats is None:
             raise NotAnAction("matrices do not define a representation")
         self.matrices = tuple(mats)
@@ -311,8 +312,7 @@ def v_chain(G, X: GSet, p, depth):
     series = generalized_derived_series(G)
     chain = [FpSubspace(p, X.size, mat_identity(X.size))]
     for i in range(depth):
-        term = series.terms[i] if i < len(series.terms) else series.terms[-1]
-        perms = [X._perms[g] for g in term.gens()]
+        perms = [X._perms[g] for g in series.term(i).gens()]
         chain.append(FpSubspace.from_vectors(p, X.size, (
             list(map(operator.sub, f, map(f.__getitem__, perm)))
             for f in chain[-1].basis for perm in perms)))
@@ -322,7 +322,7 @@ def v_chain(G, X: GSet, p, depth):
 def orbit_hypothesis(G, X: GSet, m):
     """True iff some point has an orbit under G^(m) larger than 2^m."""
     series = generalized_derived_series(G)
-    term = series.terms[m] if m < len(series.terms) else series.terms[-1]
+    term = series.term(m)
     bound = 2 ** m
     return any(len(X.orbit(x, term)) > bound for x in range(X.size))
 

@@ -1,9 +1,12 @@
 """Matrix groups over small finite fields and residue rings Z/l^k.
 
 Field elements are canonical integers 0..q-1 encoding polynomial coefficients
-base p (little-endian) modulo the lexicographically smallest monic
-irreducible; residue-ring elements are plain representatives 0..m-1. Matrix
-labels are bit-exact row-major entry lists, so reports are diffable.
+base p (little-endian) modulo x^e + t, for the least integer t (encoded the
+same way) whose quotient ring has no zero divisors: that is the
+lexicographically smallest monic irreducible of degree e. GF(q) is built from
+its addition table and its multiplication-by-x table alone. Residue-ring
+elements are plain representatives 0..m-1. Matrix labels are bit-exact
+row-major entry lists, so reports are diffable.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from .core import (
     commutator_subgroup,
     factorize,
     generate_group,
+    identity_hom,
     is_isomorphic,
     local_quotient,
     quotient,
@@ -43,7 +47,15 @@ FIELD_SIZE_CAP = 64
 
 
 class PrimePowerField:
-    """GF(q) for q = p^e with table-based arithmetic (q <= FIELD_SIZE_CAP)."""
+    """GF(q) for q = p^e with table-based arithmetic (q <= FIELD_SIZE_CAP).
+
+    An element is the integer whose base-p digits, least significant first,
+    are its coefficients at 1, x, ..., x^(e-1). The modulus is x^e + t for
+    the least integer t, read as a polynomial the same way, whose quotient
+    ring has no zero divisors. F_p[x]/(f) is a domain iff f is irreducible,
+    so this is the lexicographically smallest monic irreducible of degree e;
+    for a prime field it is x itself.
+    """
 
     def __init__(self, q):
         if q > FIELD_SIZE_CAP:
@@ -54,119 +66,43 @@ class PrimePowerField:
         (p, e), = fac.items()
         self.p, self.e, self.size = p, e, q
         self.name = f"F{q}"
-        self.characteristic = p
-        if e == 1:
-            self._mul = [[(a * b) % p for b in range(p)] for a in range(p)]
-            self._add = [[(a + b) % p for b in range(p)] for a in range(p)]
-        else:
-            modulus = self._smallest_irreducible(p, e)
-            self._add = [[self._poly_add(a, b, p) for b in range(q)]
-                         for a in range(q)]
-            self._mul = [[self._poly_mul(a, b, p, e, modulus)
-                          for b in range(q)] for a in range(q)]
-        self._inv = [None] * q
+        # digit-wise sums: the low digits add mod p, the rest recursively
+        add = [list(range(q))]
         for a in range(1, q):
-            for b in range(1, q):
-                if self._mul[a][b] == 1:
-                    self._inv[a] = b
-                    break
-
-    @staticmethod
-    def _digits(n, p, width):
-        out = []
-        for _ in range(width):
-            out.append(n % p)
-            n //= p
-        return out
-
-    @staticmethod
-    def _undigits(ds, p):
-        n = 0
-        for d in reversed(ds):
-            n = n * p + d
-        return n
-
-    @classmethod
-    def _poly_add(cls, a, b, p):
-        width = max(a, b).bit_length() * 4 + 4
-        da = cls._digits(a, p, width)
-        db = cls._digits(b, p, width)
-        return cls._undigits([(x + y) % p for x, y in zip(da, db)], p)
-
-    @classmethod
-    def _poly_mul(cls, a, b, p, e, modulus):
-        da = cls._digits(a, p, e)
-        db = cls._digits(b, p, e)
-        prod = [0] * (2 * e)
-        for i, x in enumerate(da):
-            if x:
-                for j, y in enumerate(db):
-                    prod[i + j] = (prod[i + j] + x * y) % p
-        # reduce modulo the monic irreducible (degree e)
-        mdig = cls._digits(modulus, p, e + 1)
-        for i in range(2 * e - 1, e - 1, -1):
-            c = prod[i]
-            if c:
-                prod[i] = 0
-                for j in range(e):
-                    prod[i - e + j] = (prod[i - e + j] - c * mdig[j]) % p
-        return cls._undigits(prod[:e], p)
-
-    @classmethod
-    def _smallest_irreducible(cls, p, e):
-        """Lexicographically smallest monic irreducible of degree e over F_p,
-        encoded as the integer of its coefficient vector."""
-        for tail in range(p ** e):
-            poly = tail + p ** e  # monic
-            if cls._poly_irreducible(poly, p, e):
-                return poly
-        raise AssertionError("no irreducible polynomial found")
-
-    @classmethod
-    def _poly_irreducible(cls, poly, p, e):
-        # no roots kills degree 2..3; for higher degree, trial-divide by all
-        # monic polynomials of smaller degree
-        def eval_at(x):
-            ds = cls._digits(poly, p, e + 1)
-            v = 0
-            for c in reversed(ds):
-                v = (v * x + c) % p
-            return v
-
-        if any(eval_at(x) == 0 for x in range(p)):
-            return False
-        if e <= 3:
-            return True
-        for d in range(2, e // 2 + 1):
-            for tail in range(p ** d):
-                div = tail + p ** d
-                if cls._poly_divides(div, poly, p, d, e):
-                    return False
-        return True
-
-    @classmethod
-    def _poly_divides(cls, div, poly, p, d, e):
-        rem = cls._digits(poly, p, e + 1)
-        dd = cls._digits(div, p, d + 1)
-        for i in range(e, d - 1, -1):
-            c = rem[i]
-            if c:
-                for j in range(d + 1):
-                    rem[i - d + j] = (rem[i - d + j] - c * dd[j]) % p
-        return not any(rem)
+            add.append([(a + b) % p + p * add[a // p][b // p]
+                        for b in range(q)])
+        neg = [row.index(0) for row in add]
+        top = q // p
+        for t in range(q):
+            # multiplication by x shifts the digits up and folds the top
+            # digit back in through x^e = -t
+            xt = []
+            for a in range(q):
+                xt.append(a * p if a < top else add[xt[a - top]][neg[t]])
+            # a*b = a*(b-1) + a, or x * (a*(b/p)) when p divides b
+            mul = []
+            for a in range(q):
+                row = [0]
+                for b in range(1, q):
+                    row.append(xt[row[b // p]] if b % p == 0
+                               else add[row[b - 1]][a])
+                mul.append(row)
+            if all(0 not in row[1:] for row in mul[1:]):
+                break
+        self._add, self._neg, self._mul = add, neg, mul
+        self._inv = [None] + [row.index(1) for row in mul[1:]]
 
     def add(self, a, b):
         return self._add[a][b]
 
     def sub(self, a, b):
-        nb = next(x for x in range(self.size) if self._add[b][x] == 0)
-        return self._add[a][nb]
+        return self._add[a][self._neg[b]]
 
     def mul(self, a, b):
         return self._mul[a][b]
 
     def inv(self, a):
-        r = self._inv[a] if a else None
+        r = self._inv[a]
         if r is None:
             raise NotInvertible(f"{a} has no inverse in {self.name}")
         return r
@@ -174,19 +110,9 @@ class PrimePowerField:
     def is_unit(self, a):
         return a != 0
 
-    def units(self):
-        return range(1, self.size)
-
     def multiplicative_generator(self):
-        target = self.size - 1
-        for g in range(1, self.size):
-            x, n = g, 1
-            while x != 1:
-                x = self.mul(x, g)
-                n += 1
-            if n == target:
-                return g
-        raise AssertionError("no multiplicative generator")
+        return next(g for g in range(1, self.size)
+                    if _unit_order(self, g) == self.size - 1)
 
     def additive_basis(self):
         """F_p-basis 1, x, x^2, ... as canonical integers."""
@@ -199,7 +125,6 @@ class ResidueRing:
     def __init__(self, m):
         self.size = m
         self.name = f"Z{m}"
-        self.characteristic = m
 
     def add(self, a, b):
         return (a + b) % self.size
@@ -218,9 +143,6 @@ class ResidueRing:
             raise NotInvertible(f"{a} is not a unit mod {self.size}")
         return pow(a, -1, self.size)
 
-    def units(self):
-        return [a for a in range(1, self.size) if self.is_unit(a)]
-
     def unit_group_generators(self):
         """Generators of (Z/m)^* for m = prime power."""
         m = self.size
@@ -232,19 +154,20 @@ class ResidueRing:
                 return [3]
             return [m - 1, 5]
         phi = m // ell * (ell - 1)
-        for g in range(2, m):
-            if not self.is_unit(g):
-                continue
-            x, n = g, 1
-            while x != 1:
-                x = self.mul(x, g)
-                n += 1
-            if n == phi:
-                return [g]
-        raise AssertionError("no primitive root found")
+        return [next(g for g in range(2, m)
+                     if self.is_unit(g) and _unit_order(self, g) == phi)]
 
     def additive_basis(self):
         return [1]
+
+
+def _unit_order(ring, g):
+    """Multiplicative order of the unit g of ring."""
+    x, n = g, 1
+    while x != 1:
+        x = ring.mul(x, g)
+        n += 1
+    return n
 
 
 # -- matrix helpers --------------------------------------------------------------
@@ -273,6 +196,11 @@ def mat_mul(ring, A, B):
             row.append(acc)
         out.append(tuple(row))
     return tuple(out)
+
+
+def mat_mod(A, m):
+    """A with every entry reduced mod m."""
+    return tuple(tuple(x % m for x in row) for row in A)
 
 
 def mat_inv(ring, A):
@@ -323,7 +251,7 @@ def matrix_group(spec: MatrixGroupSpec, name=None, closure_cap=CLOSURE_CAP):
     ring = spec.ring
     gens = []
     for M in spec.generators:
-        M = tuple(tuple(x % ring.size for x in row) for row in M)
+        M = mat_mod(M, ring.size)
         if len(M) != spec.n or any(len(r) != spec.n for r in M):
             raise NotInvertible(f"matrices must be {spec.n}x{spec.n}")
         mat_inv(ring, M)  # raises NotInvertible when singular
@@ -335,7 +263,7 @@ def matrix_group(spec: MatrixGroupSpec, name=None, closure_cap=CLOSURE_CAP):
                        lambda a: mat_inv(ring, a),
                        mat_label, name, closure_cap=closure_cap,
                        kind="matrix")
-    G.structure = {"matrix": True, "n": spec.n, "ring": ring}
+    G.structure = {"n": spec.n}
     return G
 
 
@@ -404,8 +332,7 @@ def glz_group(n, ell, k, closure_cap=CLOSURE_CAP):
     spec = MatrixGroupSpec(n, R, tuple(gens))
     G = matrix_group(spec, name=f"GLZ({n},{ell},{k})",
                      closure_cap=closure_cap)
-    G.structure = {"matrix": True, "n": n, "ring": R,
-                   "residue": (ell, k)}
+    G.structure["residue"] = (ell, k)
     assert G.order == \
         math.prod(_gl_factors(n, ell, 1)) * ell ** (n * n * (k - 1))
     return G
@@ -424,11 +351,8 @@ def residue_map(G, closure_cap=CLOSURE_CAP):
         raise UnknownConstructor("residue_map needs a GLZ-built group")
     ell, k = info["residue"]
     target = glz_group(info["n"], ell, 1, closure_cap=closure_cap)
-    mapping = []
-    for i in range(G.order):
-        M = G.value(i)
-        red = tuple(tuple(x % ell for x in row) for row in M)
-        mapping.append(target.index_of(red))
+    mapping = [target.index_of(mat_mod(G.value(i), ell))
+               for i in range(G.order)]
     return Homomorphism(G, target, mapping)
 
 
@@ -447,7 +371,8 @@ def residue_kernel(n, ell, k, closure_cap=CLOSURE_CAP):
 
 
 def is_l_group(G, ell):
-    """True iff |G| is a power of ell (1 counts)."""
+    """True iff the order of G, a group or a Subgroup, is a power of ell
+    (1 counts)."""
     n = G.order
     while n % ell == 0:
         n //= ell
@@ -459,13 +384,12 @@ def is_l_group(G, ell):
 
 class LPFiltration(Record):
     """Normal chain lambda3 <= lambda2 <= lambda1 inside a finite Lambda."""
-    __slots__ = ("lambda1", "lambda2", "lambda3", "certificates")
+    __slots__ = ("lambda1", "lambda2", "lambda3")
 
     def __init__(self, lambda1, lambda2, lambda3):
         self.lambda1 = lambda1
         self.lambda2 = lambda2
         self.lambda3 = lambda3
-        self.certificates = {}
 
     def orders(self):
         return (self.lambda1.order, self.lambda2.order, self.lambda3.order)
@@ -539,8 +463,7 @@ def validate_lp(Lam, ell, J, filt: LPFiltration):
     coprime_ok = (filt.lambda2.order // filt.lambda3.order) % ell != 0 \
         if abelian_ok else False
     conditions["abelian_layer"] = abelian_ok and coprime_ok
-    conditions["l_group_layer"] = (filt.lambda3.order == 1
-                                   or is_l_group(filt.lambda3.as_group(), ell))
+    conditions["l_group_layer"] = is_l_group(filt.lambda3, ell)
     ok = all(conditions.values())
     return LPValidation(ok, conditions, tuple(notes))
 
@@ -565,10 +488,7 @@ def search_lp(Lam, ell, J):
                         and l2.member_set <= l1.member_set):
                     continue
                 filt = LPFiltration(l1, l2, l3)
-                report = validate_lp(Lam, ell, J, filt)
-                if report.ok:
-                    filt.certificates = {"conditions": report.conditions,
-                                         "notes": report.notes}
+                if validate_lp(Lam, ell, J, filt).ok:
                     return filt
     return None
 
@@ -590,24 +510,13 @@ def corollary_decomposition(Lambda: Subgroup, ell, J):
         raise UnknownConstructor(f"ambient ring has ell = {ell_amb}")
     L = Lambda.as_group()
     if k == 1:
-        bar = L
-        to_bar = Homomorphism(L, L, range(L.order))
+        bar, to_bar = L, identity_hom(L)
     else:
-        n = info["n"]
-
-        def reduced(i_local):
-            M = amb.value(L.parent_indices[i_local])
-            return tuple(tuple(x % ell for x in row) for row in M)
-
-        gen_mats = [reduced(g) for g in L.generators]
-        R1 = ResidueRing(ell)
-        bar = generate_group(mat_identity(n), gen_mats,
-                             lambda a, b: mat_mul(R1, a, b),
-                             lambda a: mat_inv(R1, a),
-                             mat_label, f"{L.name} mod {ell}",
-                             kind="matrix")
-        mapping = [bar.index_of(reduced(i)) for i in range(L.order)]
-        to_bar = Homomorphism(L, bar, mapping)
+        reduced = [mat_mod(amb.value(i), ell) for i in L.parent_indices]
+        spec = MatrixGroupSpec(info["n"], ResidueRing(ell),
+                               tuple(reduced[g] for g in L.generators))
+        bar = matrix_group(spec, name=f"{L.name} mod {ell}")
+        to_bar = Homomorphism(L, bar, list(map(bar.index_of, reduced)))
     filt = search_lp(bar, ell, J)
     if filt is None:
         raise SearchFailed(
@@ -615,7 +524,7 @@ def corollary_decomposition(Lambda: Subgroup, ell, J):
             "try a larger J")
     N = to_bar.preimage(filt.lambda3)
     N.normal = True
-    if not is_l_group(N.as_group(), ell):
+    if not is_l_group(N, ell):
         raise PropositionViolated("N is not an ell-group")
     Q, _ = quotient(L, N)
     length = abelian_simple_length(Q)

@@ -147,6 +147,10 @@ class SeriesReport(FrozenRecord):
     def orders(self):
         return tuple(t.order for t in self.terms)
 
+    def term(self, i):
+        """The term at step i, or the last term when the series is shorter."""
+        return self.terms[min(i, len(self.terms) - 1)]
+
 
 # -- abelian invariants ------------------------------------------------------
 

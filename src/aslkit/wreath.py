@@ -104,8 +104,7 @@ def induced_group(A, G, G0: Subgroup, act: GroupAction = None,
         return r
 
     g_action = GroupAction(G, Ind, g_apply)
-    Ind.structure = {"induced": True, "reps": tuple(reps), "m": m,
-                     "a": A, "g": G, "g0": G0, "act": act}
+    Ind.structure = {"reps": tuple(reps), "m": m}
     return Ind, g_action
 
 
@@ -234,7 +233,7 @@ def wreath_quotient(A, A0: Subgroup, G, G0: Subgroup,
 def msigma_hypothesis(G, G0: Subgroup, m):
     """True iff the coset count of G0 in G^(m) G0 exceeds 2^m."""
     series = generalized_derived_series(G, max_steps=m)
-    term = series.terms[m] if m < len(series.terms) else series.terms[-1]
+    term = series.term(m)
     inter = len(term.member_set & G0.member_set)
     index = term.order // inter
     return index > 2 ** m
@@ -254,7 +253,7 @@ def msigma_witness(A, G, G0: Subgroup, act: GroupAction = None, m=0,
     W = twisted_wreath_product(A, G, G0, act, closure_cap=closure_cap)
     series = generalized_derived_series(W.group, max_steps=m + 1)
     # a series shorter than m + 2 terms has reached the identity
-    term = series.terms[min(m + 1, len(series.terms) - 1)]
+    term = series.term(m + 1)
     inter = sorted(term.member_set & W.ind.member_set - {0})
     if inter:
         return W.element(inter[0])

@@ -1,4 +1,5 @@
-"""The public library surface: removed keywords and the README sketch."""
+"""The public library surface: removed keywords and attributes, and the
+README sketch."""
 
 import ast
 import inspect
@@ -7,6 +8,7 @@ import re
 
 import pytest
 
+from aslkit import fpmod
 from aslkit.core import (
     direct_product,
     fiber_product,
@@ -26,7 +28,14 @@ from aslkit.fpmod import (
     v_chain,
     vector_group,
 )
-from aslkit.matgroups import corollary_decomposition, glz_group
+from aslkit.matgroups import (
+    LPFiltration,
+    PrimePowerField,
+    ResidueRing,
+    corollary_decomposition,
+    gl_group,
+    glz_group,
+)
 from aslkit.normal import all_normal_subgroups
 from aslkit.wreath import induced_group, twisted_wreath_product, \
     wreath_quotient
@@ -90,6 +99,48 @@ def test_removed_keyword_raises_type_error(fn, args, keyword):
     fn(*values)
     with pytest.raises(TypeError, match=keyword):
         fn(*values, **{keyword: None})
+
+
+def _lp_filtration():
+    full = full_subgroup(cyclic_group(2))
+    return LPFiltration(full, full, full)
+
+
+# each removed attribute or method with an object that once had it
+REMOVED_ATTRIBUTES = [
+    (lambda: PrimePowerField(4), "characteristic"),
+    (lambda: PrimePowerField(4), "units"),
+    (lambda: PrimePowerField(4), "_digits"),
+    (lambda: PrimePowerField(4), "_undigits"),
+    (lambda: PrimePowerField(4), "_poly_add"),
+    (lambda: PrimePowerField(4), "_poly_mul"),
+    (lambda: PrimePowerField(4), "_smallest_irreducible"),
+    (lambda: PrimePowerField(4), "_poly_irreducible"),
+    (lambda: PrimePowerField(4), "_poly_divides"),
+    (lambda: ResidueRing(9), "characteristic"),
+    (lambda: ResidueRing(9), "units"),
+    (_lp_filtration, "certificates"),
+    (lambda: fpmod, "_mat_mul"),
+]
+
+
+@pytest.mark.parametrize(
+    "make, attribute", REMOVED_ATTRIBUTES,
+    ids=[f"{type(m()).__name__}-{a}" for m, a in REMOVED_ATTRIBUTES])
+def test_removed_attribute_raises_attribute_error(make, attribute):
+    with pytest.raises(AttributeError):
+        getattr(make(), attribute)
+
+
+def test_removed_structure_keys():
+    """Matrix groups keep only their dimension (and a GLZ group its
+    residue ring's (l, k)); Ind keeps its coset representatives and their
+    count."""
+    assert gl_group(2, 2).structure == {"n": 2}
+    assert glz_group(2, 2, 2).structure == {"n": 2, "residue": (2, 2)}
+    c2 = cyclic_group(2)
+    ind, _ = induced_group(c2, c2, trivial_subgroup(c2))
+    assert ind.structure == {"reps": (0, 1), "m": 2}
 
 
 def _sketch():

@@ -105,6 +105,21 @@ def test_max_steps_bounds_the_d_steps(record_calls):
         generalized_derived_series(groups[0], max_terms=1)
 
 
+def test_term_clamps_to_the_last_term():
+    """term(i) is terms[i] while the series lasts, then the last term: on
+    a report that reached 1 that is the trivial subgroup, and on one cut
+    short by max_steps it is the last term computed."""
+    s4 = symmetric_group(4)
+    full = generalized_derived_series(s4)
+    assert full.terminates and full.orders() == (24, 12, 4, 1)
+    assert [full.term(i).order for i in range(6)] == [24, 12, 4, 1, 1, 1]
+    assert full.term(3) is full.terms[3]
+    cut = generalized_derived_series(s4, max_steps=1)
+    assert not cut.terminates and cut.orders() == (24, 12)
+    assert [cut.term(i) for i in range(4)] == [cut.terms[0]] + \
+        [cut.terms[1]] * 3
+
+
 def test_solvable_series_is_the_d_step_walk(record_calls):
     """For every solvable catalog group of order <= 48 the series equals
     the D-step walk term by term, and computing and reading its terms
