@@ -158,19 +158,27 @@ def _parse_g0(G, text):
 def _load_action(path, A, G0):
     """Action table file: one 'a_label ^ g_label = a_label' line per pair."""
     G0g = G0.as_group()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except OSError as exc:
+        raise _UsageError(
+            f"cannot read action file {path!r}: {exc.strerror}") from None
+    except UnicodeDecodeError:
+        raise _UsageError(
+            f"action file {path!r} is not UTF-8 text") from None
     table = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "^" not in line or "=" not in line:
-                raise GroupSpecError(f"bad action line: {line!r}", lineno, 1)
-            left, _, result = line.rpartition("=")
-            a_lab, _, g_lab = left.partition("^")
-            a = resolve_label(A, a_lab.strip())
-            g = resolve_label(G0g, g_lab.strip())
-            table[(a, g)] = resolve_label(A, result.strip())
+    for lineno, line in enumerate(lines, 1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "^" not in line or "=" not in line:
+            raise GroupSpecError(f"bad action line: {line!r}", lineno, 1)
+        left, _, result = line.rpartition("=")
+        a_lab, _, g_lab = left.partition("^")
+        a = resolve_label(A, a_lab.strip())
+        g = resolve_label(G0g, g_lab.strip())
+        table[(a, g)] = resolve_label(A, result.strip())
     missing = [(a, g) for a in range(A.order) for g in range(G0g.order)
                if (a, g) not in table]
     if missing:

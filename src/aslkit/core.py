@@ -9,8 +9,9 @@ in one dict keyed by the index pair. Groups built from other groups
 multiply on indices and keep no memo: direct and semidirect products read
 mixed-radix digits, induced groups multiply digit-wise, quotients multiply
 coset representatives and materialized subgroups multiply their members in
-the parent, so a product costs a few products further down and the only
-memos are those of the leaves (fiber products stay value-level). No Cayley
+the parent (the image of N in N x| H multiplies in N), so a product costs
+a few products further down and the only memos are those of the leaves
+(fiber products stay value-level). No Cayley
 table is ever materialized: large groups touch only a small part of
 theirs, so construction cost stays linear in the order.
 
@@ -356,19 +357,25 @@ class Subgroup:
     def as_group(self):
         """Materialize as a standalone Group; element values are parent indices.
 
-        Index k stands for members[k], and products are taken in the parent.
+        Index k stands for members[k], and products are taken in the
+        parent, except in the image N x 1 of N in a semidirect product
+        N x| H: its member k is k * |H|, N's index k, so it multiplies in N.
         """
         if self._as_group is None:
             G = self.parent
             members = self.members
             pos = {p: i for i, p in enumerate(members)}
-            gmul, ginv = G.product(), G.inv
+            if G.kind == "semidirect" and self.order == G.factors[0].order \
+                    and all(p % G.factors[1].order == 0 for p in members):
+                mul, inv = G.factors[0].product(), G.factors[0].inv
+            else:
+                gmul, ginv = G.product(), G.inv
 
-            def mul(i, j):
-                return pos[gmul(members[i], members[j])]
+                def mul(i, j):
+                    return pos[gmul(members[i], members[j])]
 
-            def inv(i):
-                return pos[ginv(members[i])]
+                def inv(i):
+                    return pos[ginv(members[i])]
 
             name = f"{G.name}|sub{self.order}"
             H = Group(members, mul, inv, G.label, name=name,
@@ -418,12 +425,25 @@ def full_subgroup(G):
 
 
 class ClosureBuilder:
-    """Incremental subgroup closure inside a parent group.
+    """Incremental subgroup closure inside a parent group, by Dimino's
+    algorithm (G. Butler, Fundamental Algorithms for Permutation Groups,
+    LNCS 559, 1991, ch. 6).
 
-    Elements are only adopted as generators when they are not already in the
-    closure, so each adoption at least doubles the subgroup and the generator
-    list stays logarithmic in the subgroup order. Total cost is
-    O(|H| * #generators) multiplications.
+    Invariant: between calls, `mlist` is the whole subgroup H = <gens>,
+    identity first, listed coset by coset. Adopting g not in H appends
+    the right coset H*g, then, for each coset representative r (the head
+    of each later block of |H| entries) and each generator s, the coset
+    H*(r*s) when r*s is not listed yet. A listed r*s lies in a listed
+    coset, and so does all of H*(r*s), so once every representative has
+    been tried the listed cosets are closed under the generators and form
+    <H, g>. When H = 1 the cosets are single elements, so the closure
+    walks the powers of g.
+
+    Cost: one product per new member that does not head its coset, plus
+    one per (new coset, generator) pair, where multiplying every member
+    by every generator costs |H| * #generators. An element is adopted
+    only when it is not already in H, so each adoption at least doubles
+    the subgroup and the generator list stays logarithmic in |H|.
     """
 
     def __init__(self, G):
@@ -431,38 +451,43 @@ class ClosureBuilder:
         self.member_set = {0}
         self.mlist = [0]
         self.gens = []
-        self._done = [0]
 
     def add(self, g):
         """Adopt g as a generator if new; returns True when the closure grew."""
-        if g in self.member_set:
-            return False
-        self.gens.append(g)
-        self.member_set.add(g)
-        self.mlist.append(g)
-        self._done.append(0)
-        self._sweep()
-        return True
-
-    def _sweep(self):
-        mul = self.G.mul
-        gens = self.gens
-        mlist = self.mlist
-        done = self._done
         member_set = self.member_set
-        k = 0
-        while k < len(mlist):
-            d = done[k]
-            if d < len(gens):
-                x = mlist[k]
-                for gi in range(d, len(gens)):
-                    y = mul(x, gens[gi])
-                    if y not in member_set:
-                        member_set.add(y)
-                        mlist.append(y)
-                        done.append(0)
-                done[k] = len(gens)
-            k += 1
+        if g in member_set:
+            return False
+        mul = self.G.mul
+        mlist = self.mlist
+        gens = self.gens
+        gens.append(g)
+        n = len(mlist)
+        if n == 1:
+            x = g
+            while x != 0:
+                mlist.append(x)
+                x = mul(x, g)
+            member_set.update(mlist)
+            return True
+
+        def append_coset(e):
+            # H*e, headed by e: the identity heads H, so h = 1 is skipped
+            coset = [e]
+            coset += map(mul, itertools.islice(mlist, 1, n),
+                         itertools.repeat(e))
+            mlist.extend(coset)
+            member_set.update(coset)
+
+        append_coset(g)
+        head = n
+        while head < len(mlist):
+            r = mlist[head]
+            for s in gens:
+                e = mul(r, s)
+                if e not in member_set:
+                    append_coset(e)
+            head += n
+        return True
 
     def sorted_members(self):
         return tuple(sorted(self.member_set))

@@ -56,6 +56,7 @@ from .families import (
     symmetric_group,
 )
 from .matgroups import (
+    FIELD_SIZE_CAP,
     MatrixGroupSpec,
     PrimePowerField,
     ResidueRing,
@@ -335,33 +336,50 @@ def _parse_mat(cur, pos):
     ring = cur.name()
     if not re.match(r"^[FZ]\d+$", ring):
         cur.error(f"unknown ring {ring!r}; use F<q> or Z<m>")
-    cur.to_int(ring[1:], cur.pos - len(ring) + 1)  # refuse a size too long
+    size = cur.to_int(ring[1:], cur.pos - len(ring) + 1)  # not too long
+    # an integer maps into Z m and F p by reduction, but it is an element
+    # of F q, q = p^e with e > 1, only through its base-p digits: below q.
+    # A field past the cap is refused when it is built.
+    fac = factorize(size) if size <= FIELD_SIZE_CAP else {}
+    bound = size if ring[0] == "F" and len(fac) == 1 and size not in fac \
+        else None
     cur.eat(";")
-    mats = [_parse_matrix(cur)]
+    mats = [_parse_matrix(cur, bound)]
     while cur.try_eat(","):
-        mats.append(_parse_matrix(cur))
+        mats.append(_parse_matrix(cur, bound))
     cur.eat(")")
     return MatSpec(ring, tuple(mats), pos)
 
 
-def _parse_matrix(cur):
+def _parse_matrix(cur, bound):
     cur.eat("[")
-    rows = [_parse_row(cur)]
+    rows = [_parse_row(cur, bound)]
     while cur.try_eat(","):
-        rows.append(_parse_row(cur))
+        rows.append(_parse_row(cur, bound))
     cur.eat("]")
     if any(len(r) != len(rows) for r in rows):
         cur.error("matrix must be square")
     return tuple(rows)
 
 
-def _parse_row(cur):
+def _parse_row(cur, bound):
     cur.eat("[")
-    xs = [cur.integer()]
+    xs = [_parse_entry(cur, bound)]
     while cur.try_eat(","):
-        xs.append(cur.integer())
+        xs.append(_parse_entry(cur, bound))
     cur.eat("]")
     return tuple(xs)
+
+
+def _parse_entry(cur, bound):
+    """A matrix entry, refused from `bound` on when that is not None."""
+    cur.skip_ws()
+    start = cur.pos
+    x = cur.integer()
+    if bound is not None and x >= bound:
+        cur.error(f"entry {x} is not an element of F{bound}; "
+                  f"use 0..{bound - 1}", pos=start)
+    return x
 
 
 # -- unparse -----------------------------------------------------------------

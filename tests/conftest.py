@@ -67,3 +67,35 @@ def record_calls(monkeypatch):
         return calls
 
     return record
+
+
+@pytest.fixture
+def count_products(monkeypatch):
+    """count_products(G) counts, for the rest of the test, the products of
+    G made through `G.mul` and through the closures `G.product()` hands out
+    from then on, so a cost test also sees code that skips `Group.mul`;
+    it returns a function that reads the count."""
+    def count(G):
+        n = 0
+        mul, product = G.mul, G.product
+
+        def counted_mul(i, j):
+            nonlocal n
+            n += 1
+            return mul(i, j)
+
+        def counted_product():
+            raw = product()
+
+            def counted(i, j):
+                nonlocal n
+                n += 1
+                return raw(i, j)
+
+            return counted
+
+        monkeypatch.setattr(G, "mul", counted_mul)
+        monkeypatch.setattr(G, "product", counted_product)
+        return lambda: n
+
+    return count

@@ -79,6 +79,21 @@ def test_wreath_action_file(tmp_path):
     assert payload["result"]["order"] == 4 ** 3 * 6
 
 
+@pytest.mark.parametrize("cmd, extra", [("wreath", []),
+                                        ("msigma", ["-m", "0"])])
+def test_unreadable_action_file_is_a_usage_error(tmp_path, cmd, extra):
+    base = [cmd, "--a", "C2", "--g", "S3", "--g0", "(1 2)"] + extra
+    missing = tmp_path / "missing.txt"
+    binary = tmp_path / "binary.txt"
+    binary.write_bytes(b"\xff\xfe\x00")
+    for path, why in ((missing, "No such file"), (tmp_path, "directory"),
+                      (binary, "not UTF-8")):
+        payload, code = _json_result(base + ["--action", str(path)])
+        assert code == 2
+        assert repr(str(path)) in payload["result"]["error"]
+        assert why in payload["result"]["error"]
+
+
 def test_msigma_command():
     payload, code = _json_result(
         ["msigma", "--a", "C2", "--g", "C3", "--g0", "1", "-m", "0"])

@@ -1,6 +1,11 @@
 """Group construction, products, quotients, and the multiplication oracle."""
 
+import random
+
 import pytest
+from group_strategies import perm_groups
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from aslkit.catalog import catalog
 from aslkit.core import (
@@ -326,21 +331,94 @@ def test_normal_closure_examples(s4):
     assert normal_closure(s4, [threecycle]).order == 12
 
 
+class _SweptClosure:
+    """Reference closure: every member times every generator, from the
+    identity, until nothing new turns up."""
+
+    def __init__(self, G):
+        self.G = G
+        self.member_set = {0}
+        self.gens = []
+
+    def add(self, g):
+        if g in self.member_set:
+            return False
+        self.gens.append(g)
+        mlist, seen = [0], {0}
+        for x in mlist:
+            for s in self.gens:
+                y = self.G.mul(x, s)
+                if y not in seen:
+                    seen.add(y)
+                    mlist.append(y)
+        self.member_set = seen
+        return True
+
+
+def _add_against_sweep(G, seeds):
+    """Adds each seed to a ClosureBuilder and to the swept reference and
+    checks after each add the return value, the members and the adopted
+    generators, and that the members are listed coset by coset: the old
+    subgroup H first and unchanged, then right cosets H*r, each headed by
+    its representative r. A seed None adds the last member listed."""
+    cb, ref = ClosureBuilder(G), _SweptClosure(G)
+    for g in seeds:
+        g = cb.mlist[-1] if g is None else g
+        before = list(cb.mlist)
+        grew = cb.add(g)
+        assert grew == ref.add(g), (G.name, g)
+        assert cb.member_set == ref.member_set, (G.name, g)
+        assert cb.gens == ref.gens
+        assert sorted(cb.mlist) == sorted(cb.member_set)
+        n = len(before)
+        assert cb.mlist[:n] == before and len(cb.mlist) % n == 0
+        for head in range(n, len(cb.mlist), n):
+            r = cb.mlist[head]
+            assert set(cb.mlist[head:head + n]) == \
+                {G.mul(h, r) for h in before}
+
+
 def test_closure_builder_matches_bruteforce(s4):
-    cb = ClosureBuilder(s4)
-    gen = s4.index_of(perm_from_cycles(4, "(1 2 3)"))
-    cb.add(gen)
-    brute = {0}
-    frontier = [0]
-    while frontier:
-        new = []
-        for x in frontier:
-            y = s4.mul(x, gen)
-            if y not in brute:
-                brute.add(y)
-                new.append(y)
-        frontier = new
-    assert cb.member_set == brute
+    words = ["(1 2 3)", "(1 3 2)", "(1 2)(3 4)", "()", "(1 2)", "(3 4)"]
+    _add_against_sweep(s4, [s4.index_of(perm_from_cycles(4, w))
+                            for w in words])
+
+
+def test_closure_builder_matches_sweep_on_the_catalog():
+    """Several generators in turn on every catalog group to order 48,
+    with members already inside (the last member found, and 1) between
+    them."""
+    rng = random.Random(48)
+    for _, G in catalog(48):
+        seeds = [0]
+        for _ in range(4):
+            seeds += [rng.randrange(G.order), None]
+        _add_against_sweep(G, seeds)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(perm_groups(), st.lists(st.integers(0, 10 ** 6), min_size=1,
+                               max_size=6))
+def test_closure_builder_matches_sweep_on_perm_groups(G, picks):
+    seeds = []
+    for k in picks:
+        seeds += [k % G.order, None, 0]
+    _add_against_sweep(G, seeds)
+
+
+def test_cyclic_closure_walks_the_powers(count_products):
+    """<g> costs one product per power after g, the last one back at 1."""
+    s6 = symmetric_group(6)
+    g = s6.index_of(perm_from_cycles(6, "(1 2 3)(4 5)"))
+    count = count_products(s6)
+    cb = ClosureBuilder(s6)
+    cb.add(g)
+    assert len(cb.mlist) == 6 and count() == 5
+    x = g
+    for power in cb.mlist[1:]:
+        assert power == x
+        x = s6.mul(x, g)
 
 
 def test_subgroup_materialization(s4):

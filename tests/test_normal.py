@@ -223,26 +223,15 @@ def test_conjugacy_classes_bruteforce():
         assert sorted(brute) == sorted(conjugacy_classes(g)), g.name
 
 
-def _count_muls(g, fn):
-    """Number of g.mul calls made by fn(g), classes already computed."""
+def _count_muls(count_products, g, fn):
+    """Number of products of g made by fn(g), classes already computed."""
     class_index_of(g)
-    calls = 0
-    mul = g.mul
-
-    def counted(i, j):
-        nonlocal calls
-        calls += 1
-        return mul(i, j)
-
-    g.mul = counted
-    try:
-        fn(g)
-    finally:
-        del g.mul
-    return calls
+    count = count_products(g)
+    fn(g)
+    return count()
 
 
-def test_class_closures_cost_on_abelian_groups():
+def test_class_closures_cost_on_abelian_groups(count_products):
     """No class-product table: at most as many products as element closures.
 
     An abelian group of order n has n classes, so an all-pairs class table
@@ -255,8 +244,8 @@ def test_class_closures_cost_on_abelian_groups():
     c2 = cyclic_group(2)
     for build in (lambda: cyclic_group(128),
                   lambda: direct_product_many([c2] * 7)):
-        ours = _count_muls(build(), class_closures)
-        ref = _count_muls(build(), element_level)
+        ours = _count_muls(count_products, build(), class_closures)
+        ref = _count_muls(count_products, build(), element_level)
         assert ours <= ref, (ours, ref)
 
 

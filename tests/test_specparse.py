@@ -81,6 +81,35 @@ def test_parse_errors_carry_position():
         evaluate(parse_group_spec("perm(3; (1 2 2))"))
 
 
+@pytest.mark.parametrize("text, entry, line, column", [
+    ("mat(F4; [[6]])", 6, 1, 11),
+    ("mat(F9; [[1, 0],\n [0, 9]])", 9, 2, 6),
+    ("mat(F8; [[1]], [[8]])", 8, 1, 18),
+])
+def test_entry_outside_a_proper_prime_power_field_is_refused(
+        text, entry, line, column):
+    """In F q, q = p^e with e > 1, an integer stands for a field element
+    only through its base-p digits, so reducing it mod q is no field map:
+    an entry from q on is a usage error at its own position."""
+    with pytest.raises(GroupSpecError) as err:
+        parse_group_spec(text)
+    assert (err.value.line, err.value.column) == (line, column)
+    assert f"entry {entry} is not an element" in str(err.value)
+    assert run(["normals", text])[1] == 2
+
+
+def test_prime_fields_and_residue_rings_reduce_entries():
+    """Z -> F p and Z -> Z m are ring maps, so there an entry is reduced."""
+    for big, small in (("F2; [[0, 3], [1, 1]]", "F2; [[0, 1], [1, 1]]"),
+                       ("F5; [[7, 5], [0, 1]]", "F5; [[2, 0], [0, 1]]"),
+                       ("Z9; [[10, 3], [0, 1]]", "Z9; [[1, 3], [0, 1]]")):
+        g = group_from_spec(f"mat({big})")
+        h = group_from_spec(f"mat({small})")
+        assert g.order == h.order > 1
+        assert list(map(g.value, g.elements())) == \
+            list(map(h.value, h.elements()))
+
+
 def test_quotient_label_resolution():
     s4 = group_from_spec("S4")
     assert s4.label(resolve_label(s4, "(2 1)")) == "(1 2)"

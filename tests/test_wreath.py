@@ -5,10 +5,14 @@ import pytest
 from aslkit.core import (
     GroupAction,
     check_group_axioms,
+    commutator_subgroup,
+    conjugacy_classes,
     full_subgroup,
     is_isomorphic,
+    semidirect_product,
     subgroup_closure,
     subgroup_generated,
+    trivial_action,
     trivial_subgroup,
 )
 from aslkit.errors import CapExceeded, NotAnAction, NotInvariant, NotNormal
@@ -241,3 +245,62 @@ def test_induced_group_refuses_a_foreign_g0():
         induced_group(cyclic_group(2), s3, foreign)
     with pytest.raises(NotAnAction):
         twisted_wreath_product(cyclic_group(2), s3, foreign)
+
+
+def _fresh_a5_wreath_c2():
+    c2 = cyclic_group(2)
+    return twisted_wreath_product(alternating_group(5), c2,
+                                  trivial_subgroup(c2))
+
+
+def test_derived_closure_of_the_a5_wreath_is_coset_by_coset(count_products):
+    """W' = Ind for A5 wr C2 (order 7200). Closed coset by coset it takes
+    about one product per member; multiplying every member by every
+    generator took 21,696."""
+    w = _fresh_a5_wreath_c2()
+    count = count_products(w.group)
+    der = commutator_subgroup(w.group)
+    assert der.member_set == w.ind.member_set
+    assert count() <= 4500
+
+
+def test_ind_materializes_in_ind(count_products, monkeypatch):
+    """Ind = Ind x 1 in W = Ind x| G multiplies in Ind: the same values,
+    labels, index_of, generators, parent indices and products as the
+    materialization through W, and no product of W."""
+    w = _fresh_a5_wreath_c2()
+    W, members = w.group, w.ind.members
+    with monkeypatch.context() as m:
+        m.setattr(W, "kind", "generic")  # takes the path through W
+        ref = Subgroup(W, members).as_group()
+    gens = ref.generators
+    want = [[ref.mul(i, g) for g in gens] for i in range(ref.order)]
+    want_inv = [ref.inv(i) for i in range(ref.order)]
+    want_classes = conjugacy_classes(ref)
+    count = count_products(W)
+    ind = Subgroup(W, members).as_group()
+    assert ind.generators == gens
+    assert [[ind.mul(i, g) for g in gens] for i in range(ind.order)] == want
+    assert [ind.inv(i) for i in range(ind.order)] == want_inv
+    assert conjugacy_classes(ind) == want_classes
+    assert count() == 0
+    assert ind.parent_indices == ref.parent_indices == members
+    assert list(map(ind.value, ind.elements())) == list(members)
+    assert all(ind.index_of(p) == ref.index_of(p) == k
+               for k, p in enumerate(members))
+    assert ind.labels == ref.labels
+
+
+def test_only_the_image_of_n_multiplies_in_n():
+    """Each subgroup materializes with its parent's products, whether it
+    is the image of N, multiplied in N, or not, multiplied in the parent:
+    in C4 x| C2 (index 2n + h), {0, 2, 4, 6} is C4 x 1 and {0, 1, 4, 5}
+    is a Klein group of the same order."""
+    c2, c4 = cyclic_group(2), cyclic_group(4)
+    W = semidirect_product(c4, c2, trivial_action(c2, c4))
+    for members in ((0, 2, 4, 6), (0, 1, 4, 5), (0, 4), (0, 1)):
+        H = Subgroup(W, members).as_group()
+        assert all(members[H.mul(i, j)] == W.mul(members[i], members[j])
+                   for i in range(H.order) for j in range(H.order))
+        assert all(members[H.inv(i)] == W.inv(members[i])
+                   for i in range(H.order))
