@@ -462,13 +462,6 @@ class ClosureBuilder:
         gens = self.gens
         gens.append(g)
         n = len(mlist)
-        if n == 1:
-            x = g
-            while x != 0:
-                mlist.append(x)
-                x = mul(x, g)
-            member_set.update(mlist)
-            return True
 
         def append_coset(e):
             # H*e, headed by e: the identity heads H, so h = 1 is skipped

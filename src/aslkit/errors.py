@@ -75,6 +75,12 @@ class GroupSpecError(ToolkitError):
         self.column = column
 
 
+class NotAFieldElement(GroupSpecError):
+    """An integer given for an element of F q, q = p^e with e > 1, outside
+    0..q-1: there an integer names an element only through its base-p
+    digits, and reducing it mod q is no field map."""
+
+
 class UnknownConstructor(GroupSpecError):
     """Group-spec names a constructor that does not exist."""
 

@@ -33,6 +33,7 @@ from .core import (
 )
 from .errors import (
     CapExceeded,
+    NotAFieldElement,
     NotInvertible,
     NotNormal,
     PropositionViolated,
@@ -44,6 +45,12 @@ from .normal import all_normal_subgroups, simple_factor_orders
 from .series import abelian_simple_length
 
 FIELD_SIZE_CAP = 64
+
+
+def prime_power(q):
+    """(p, e) with q = p^e, or None when q is not a prime power."""
+    fac = factorize(q)
+    return next(iter(fac.items())) if len(fac) == 1 else None
 
 
 class PrimePowerField:
@@ -60,10 +67,10 @@ class PrimePowerField:
     def __init__(self, q):
         if q > FIELD_SIZE_CAP:
             raise CapExceeded(f"field size {q} exceeds cap {FIELD_SIZE_CAP}")
-        fac = factorize(q)
-        if len(fac) != 1:
+        pe = prime_power(q)
+        if pe is None:
             raise UnknownConstructor(f"{q} is not a prime power")
-        (p, e), = fac.items()
+        p, e = pe
         self.p, self.e, self.size = p, e, q
         self.name = f"F{q}"
         # digit-wise sums: the low digits add mod p, the rest recursively
@@ -110,6 +117,16 @@ class PrimePowerField:
     def is_unit(self, a):
         return a != 0
 
+    def element(self, x):
+        """The integer x as an element: reduced mod p in a prime field, where
+        that is a ring map, and refused outside 0..q-1 when e > 1."""
+        if self.e == 1:
+            return x % self.p
+        if not 0 <= x < self.size:
+            raise NotAFieldElement(f"entry {x} is not an element of "
+                                   f"{self.name}; use 0..{self.size - 1}")
+        return x
+
     def multiplicative_generator(self):
         return next(g for g in range(1, self.size)
                     if _unit_order(self, g) == self.size - 1)
@@ -137,6 +154,10 @@ class ResidueRing:
 
     def is_unit(self, a):
         return math.gcd(a, self.size) == 1
+
+    def element(self, x):
+        """The integer x reduced mod m, a ring map."""
+        return x % self.size
 
     def inv(self, a):
         if not self.is_unit(a):
@@ -251,7 +272,7 @@ def matrix_group(spec: MatrixGroupSpec, name=None, closure_cap=CLOSURE_CAP):
     ring = spec.ring
     gens = []
     for M in spec.generators:
-        M = mat_mod(M, ring.size)
+        M = tuple(tuple(map(ring.element, row)) for row in M)
         if len(M) != spec.n or any(len(r) != spec.n for r in M):
             raise NotInvertible(f"matrices must be {spec.n}x{spec.n}")
         mat_inv(ring, M)  # raises NotInvertible when singular

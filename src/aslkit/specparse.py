@@ -33,7 +33,6 @@ from .core import (
     FrozenRecord,
     check_degree,
     direct_product_many,
-    factorize,
     group_from_perm_generators,
     normal_closure,
     perm_from_cycles,
@@ -46,6 +45,7 @@ from .errors import (
     GroupSpecError,
     MalformedCycle,
     MalformedCycleInSpec,
+    NotAFieldElement,
     UnknownConstructor,
 )
 from .families import (
@@ -64,6 +64,7 @@ from .matgroups import (
     glz_group,
     mat_label,
     matrix_group,
+    prime_power,
     sl_group,
     unitriangular_group,
 )
@@ -337,12 +338,12 @@ def _parse_mat(cur, pos):
     if not re.match(r"^[FZ]\d+$", ring):
         cur.error(f"unknown ring {ring!r}; use F<q> or Z<m>")
     size = cur.to_int(ring[1:], cur.pos - len(ring) + 1)  # not too long
-    # an integer maps into Z m and F p by reduction, but it is an element
-    # of F q, q = p^e with e > 1, only through its base-p digits: below q.
-    # A field past the cap is refused when it is built.
-    fac = factorize(size) if size <= FIELD_SIZE_CAP else {}
-    bound = size if ring[0] == "F" and len(fac) == 1 and size not in fac \
+    # PrimePowerField.element refuses an entry of F q, q = p^e with e > 1,
+    # outside 0..q-1; refusing it here gives the entry's position. A field
+    # past the cap or of no prime-power size is refused when it is built.
+    pe = prime_power(size) if ring[0] == "F" and size <= FIELD_SIZE_CAP \
         else None
+    bound = size if pe is not None and pe[1] > 1 else None
     cur.eat(";")
     mats = [_parse_matrix(cur, bound)]
     while cur.try_eat(","):
@@ -377,8 +378,8 @@ def _parse_entry(cur, bound):
     start = cur.pos
     x = cur.integer()
     if bound is not None and x >= bound:
-        cur.error(f"entry {x} is not an element of F{bound}; "
-                  f"use 0..{bound - 1}", pos=start)
+        raise NotAFieldElement(f"entry {x} is not an element of F{bound}; "
+                               f"use 0..{bound - 1}", *cur._linecol(start))
     return x
 
 
@@ -494,7 +495,7 @@ def _eval_ring(token, closure_cap):
         return PrimePowerField(size)
     if size > closure_cap:
         raise CapExceeded(f"residue modulus {size} exceeds cap {closure_cap}")
-    if len(factorize(size)) != 1:
+    if prime_power(size) is None:
         raise UnknownConstructor(
             f"Z{size}: residue rings must have prime-power modulus")
     return ResidueRing(size)

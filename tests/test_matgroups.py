@@ -7,7 +7,7 @@ import pytest
 from aslkit.cli import run
 
 from aslkit.core import Subgroup, factorize, full_subgroup, is_isomorphic
-from aslkit.errors import NotInvertible, SearchFailed
+from aslkit.errors import NotAFieldElement, NotInvertible, SearchFailed
 from aslkit.families import alternating_group, symmetric_group, cyclic_group
 from aslkit.matgroups import (
     LPFiltration,
@@ -77,6 +77,22 @@ def test_matrix_group_rejects_singular():
     f2 = PrimePowerField(2)
     with pytest.raises(NotInvertible):
         matrix_group(MatrixGroupSpec(2, f2, (((1, 1), (1, 1)),)))
+
+
+def test_matrix_group_refuses_integers_outside_a_proper_prime_power_field():
+    """An integer names an element of F q, q = p^e with e > 1, only below q,
+    so a library caller's 6 in F4 or -1 in F9 is refused, as in the spec
+    parser; in F p and Z m an entry is reduced, a ring map."""
+    for q, x in ((4, 6), (4, 4), (9, -1)):
+        spec = MatrixGroupSpec(1, PrimePowerField(q), (((x,),),))
+        with pytest.raises(NotAFieldElement, match=f"entry {x} is not"):
+            matrix_group(spec)
+    assert matrix_group(MatrixGroupSpec(1, PrimePowerField(4), (((3,),),))
+                        ).order == 3
+    assert matrix_group(MatrixGroupSpec(1, PrimePowerField(5), (((7,),),))
+                        ).order == 4
+    assert matrix_group(MatrixGroupSpec(1, ResidueRing(9), (((-1,),),))
+                        ).order == 2
 
 
 def test_matrix_labels_roundtrip():

@@ -10,6 +10,7 @@ from aslkit.errors import (
     CapExceeded,
     GroupSpecError,
     MalformedCycle,
+    NotAFieldElement,
     ToolkitError,
     UnknownConstructor,
 )
@@ -91,8 +92,9 @@ def test_entry_outside_a_proper_prime_power_field_is_refused(
     """In F q, q = p^e with e > 1, an integer stands for a field element
     only through its base-p digits, so reducing it mod q is no field map:
     an entry from q on is a usage error at its own position."""
-    with pytest.raises(GroupSpecError) as err:
+    with pytest.raises(NotAFieldElement) as err:
         parse_group_spec(text)
+    assert isinstance(err.value, GroupSpecError)
     assert (err.value.line, err.value.column) == (line, column)
     assert f"entry {entry} is not an element" in str(err.value)
     assert run(["normals", text])[1] == 2
