@@ -172,6 +172,72 @@ def test_criterion_12_numeric_claims():
             f"failures: {all_fail}")
 
 
+# sha256 of each suite's object in `verify all --max-order 64 --json`,
+# rendered as `_pin_digest` renders it, and of the envelope around them
+SUITE_DIGESTS = {
+    "log-length":
+        "20b10b8e8fb2a3556a23e422280b9223b2fba88953a5fedf889b98075f28400f",
+    "solvable-coincidence":
+        "3ab1573673ebb4bc680ebc82b59fb5d648245663795c402d40ce8c76e45e0492",
+    "quotient-law":
+        "f9eedf5d3ae8e56bdb42205ad1f769fb8f5b9b16164ee14026336c73e981fd51",
+    "normal-law":
+        "03cf1ad0c648fc9f698ac509c763d1cec985d7ae2517673423e64c17b7230a3e",
+    "fiber-law":
+        "ea995b5c7e9f24b596c88bb8ae66b57c0c3239e4d1a5a0f8d6d89ddfe89ac2be",
+    "extension-law":
+        "df78118cd5c9f27a40f367b307dd475508473d383de9d9855b08e5b8c2c10172",
+    "product-decomposition":
+        "96c60a126583c7bc2f96605c8ea1b6c4be4ac59da20e47070cf23f53f585b059",
+    "exact-sequence":
+        "c0b279c1ec684d850b144b6e8ce4316c55d0abf8782a11091b3d53187812daa0",
+    "msigma":
+        "310a02d8388997e4c0fa531b51b8788f80e630de22d5bf41c3886a7c077b886e",
+    "simple-nonabelian":
+        "e7b9c2709070fa7cd73a152dc48a66f620941496a361f8103ccf8b9befa0b66e",
+    "nontrivial-action":
+        "ebf95d279aee4e618bc8d6376c5963c65bc4d69cfe999d1f821ce289327c0b76",
+    "trvrep":
+        "f65591add435295343dcda4d123468e83f11897164cc9c5b03598362a8a93c75",
+    "kernel":
+        "d88e0a22bcfa769f81128aa97a20a7376d9309abb19f5a54bcb945e564c05fbd",
+    "lp":
+        "bab4a9b5b6b1bda146bae45ae5485868165cec78d03eb100891f7eaf7317f7b2",
+    "sn-bound":
+        "e4ea807fdc33a990b9abfdadf70a044129cc92d55712eff728aa9d675d5a364c",
+    "unipotent":
+        "5626fc1c3195b7bcf6420806ac57bfe86fc4556690aaa965f4c57eab6bf3cdac",
+    "oracle-agreement":
+        "e98a81266ab16bda0217eda22c6112399b9e4716cd28f7172f25b583795cecf3",
+}
+ENVELOPE_DIGEST = \
+    "7468730a0ce494c932a2a67c0cbc05ded646a7aa43532770c8406f88a323e9ae"
+
+
+def _pin_digest(obj):
+    return hashlib.sha256(
+        json.dumps(obj, sort_keys=True, indent=2).encode()).hexdigest()
+
+
+def _verify_pins(text):
+    """(suite digests, envelope digest) of a `verify --json` report, or
+    None when the text is not the canonical render of what it parses to.
+
+    The envelope is the report with each suite object replaced by its
+    name: schema, version, command echo, suite order and `ok`. Any byte
+    of the text is either in what it parses to, and so in one of these
+    digests, or in its layout, which the re-render compares.
+    """
+    payload = json.loads(text)
+    if json.dumps(payload, sort_keys=True, indent=2) + "\n" != text:
+        return None
+    suites = payload["result"]["suites"]
+    envelope = dict(payload, result=dict(
+        payload["result"], suites=[s["suite"] for s in suites]))
+    return ({s["suite"]: _pin_digest(s) for s in suites},
+            _pin_digest(envelope))
+
+
 def test_criterion_13_determinism():
     """Byte-identical machine-readable reports in and out of process.
 
@@ -180,10 +246,12 @@ def test_criterion_13_determinism():
     and dict ordering can make the two agree by accident. The full suite
     list runs both times; the catalog sweep is capped at order 64 to keep
     the double execution quick (the fixed-instance suites do not depend on
-    the cap at all). The bytes are also pinned by their sha256, so a change
-    to any of the 17 suites' claims, case ids, details or order clamps
-    shows here. The command echo is part of the bytes, so the digest
-    belongs to this argv; it was recorded on CPython 3.11.
+    the cap at all). The bytes are also pinned suite by suite
+    (`SUITE_DIGESTS`) and by their envelope (`ENVELOPE_DIGEST`), so a
+    change to any of the 17 suites' claims, case ids, details or order
+    clamps shows here, and names the suites it moved. The command echo is
+    part of the envelope, so its digest belongs to this argv; the pins
+    were recorded on CPython 3.11.
     """
     argv = ["verify", "all", "--max-order", "64", "--json"]
     report, code = run(argv)
@@ -198,12 +266,14 @@ def test_criterion_13_determinism():
     cold = subprocess.run([sys.executable, "-m", "aslkit.cli"] + argv,
                           env=env, capture_output=True, text=True,
                           check=True)
-    payload = json.loads(first)
-    suites = [s["suite"] for s in payload["result"]["suites"]]
-    digest = hashlib.sha256(first.encode()).hexdigest()
-    ok = first == cold.stdout and len(suites) == 17 and digest == \
-        "28fdb8be624e285c8feb21575a1d659339a75ed977cc812ffa1ad39731ad4848"
+    pins = _verify_pins(first)
+    assert pins is not None, "report is not its canonical JSON render"
+    digests, envelope = pins
+    moved = sorted(k for k in SUITE_DIGESTS.keys() | digests.keys()
+                   if digests.get(k) != SUITE_DIGESTS.get(k))
+    ok = first == cold.stdout and len(digests) == 17 and not moved \
+        and envelope == ENVELOPE_DIGEST
     _report(13, ok,
-            f"{len(suites)} suites, identical bytes in process and in a "
+            f"{len(digests)} suites, identical bytes in process and in a "
             f"cold process under PYTHONHASHSEED={env['PYTHONHASHSEED']}, "
-            f"sha256 {digest}")
+            f"suites off their pins: {moved}, envelope sha256 {envelope}")
