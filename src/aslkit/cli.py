@@ -18,7 +18,8 @@ import sys
 import time
 
 from . import __version__
-from .core import GroupAction, Record, subgroup_generated, trivial_subgroup
+from .core import GroupAction, Record, is_prime, subgroup_generated, \
+    trivial_subgroup
 from .errors import (
     CapExceeded,
     DimensionTooLarge,
@@ -85,6 +86,20 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _count(text):
+    """A flag that counts steps or a dimension: an integer >= 0."""
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
+    return int(text)
+
+
+def _prime(text):
+    """A prime flag, bounded by the default closure cap before division."""
+    if not is_prime(int(text)):
+        raise argparse.ArgumentTypeError(f"must be a prime, got {text}")
+    return int(text)
+
+
 def _build_parser():
     p = _Parser(prog="aslkit",
                 description="finite-group series, wreath, and module toolkit")
@@ -122,23 +137,23 @@ def _build_parser():
     sp.add_argument("--g", required=True)
     sp.add_argument("--g0", required=True)
     sp.add_argument("--action")
-    sp.add_argument("-m", type=int, required=True)
+    sp.add_argument("-m", type=_count, required=True)
 
     sp = sub.add_parser("vchain", help="function-space chain over F_p")
     sp.add_argument("--g", required=True)
     sp.add_argument("--x", required=True,
                     help="coset:ELEMS (right cosets of the generated subgroup)")
-    sp.add_argument("-p", type=int, required=True)
-    sp.add_argument("-d", type=int, required=True)
+    sp.add_argument("-p", type=_prime, required=True)
+    sp.add_argument("-d", type=_count, required=True)
 
     sp = sub.add_parser("kernelcheck", help="residue kernel order and l-group test")
-    sp.add_argument("-n", type=int, required=True)
+    sp.add_argument("-n", type=_count, required=True)
     sp.add_argument("-l", type=int, required=True)
     sp.add_argument("-k", type=int, required=True)
 
     sp = sub.add_parser("lp", help="search and validate a filtration")
     sp.add_argument("spec")
-    sp.add_argument("-l", type=int, required=True)
+    sp.add_argument("-l", type=_prime, required=True)
     sp.add_argument("-J", type=int, required=True)
 
     sp = sub.add_parser("verify", help="run a named verification suite")
@@ -237,15 +252,18 @@ def _cmd_series(args):
 
 def _cmd_normals(args):
     spec, G = _spec_group(args)
-    lat = all_normal_subgroups(G)
+    # equal orders are listed by sorted labels, not by the element order
+    subs = sorted(all_normal_subgroups(G), key=lambda s: (
+        s.order, sorted(G.label(i) for i in s.members)))
     result = {
         "spec": spec,
-        "count": len(lat),
-        "subgroups": [_subgroup_json(s) for s in lat],
-        "inclusion": lat.inclusion_matrix(),
+        "count": len(subs),
+        "subgroups": [_subgroup_json(s) for s in subs],
+        "inclusion": [[int(a.member_set <= b.member_set) for b in subs]
+                      for a in subs],
     }
-    human = (f"{spec}: {len(lat)} normal subgroups, orders "
-             + ", ".join(str(s.order) for s in lat))
+    human = (f"{spec}: {len(subs)} normal subgroups, orders "
+             + ", ".join(str(s.order) for s in subs))
     return result, human, EXIT_OK
 
 

@@ -1,18 +1,20 @@
 """Finite groups behind a uniform index-based multiplication oracle.
 
 Elements of a group are integers 0..order-1; index 0 is always the identity.
-Each group carries immutable element values (permutation tuples, matrices,
-residues, index tuples, ...). Only the leaf groups, whose values are
-permutations, matrices, residues or vectors, multiply values: they find the
-product's index in a value dict and memoize the products they are asked for
-in one dict keyed by the index pair. Groups built from other groups
-multiply on indices and keep no memo: direct and semidirect products read
-mixed-radix digits, induced groups multiply digit-wise, quotients multiply
-coset representatives and materialized subgroups multiply their members in
-the parent (the image of N in N x| H multiplies in N), so a product costs
-a few products further down and the only memos are those of the leaves
-(fiber products stay value-level). No Cayley
-table is ever materialized: large groups touch only a small part of
+A leaf group built from generators numbers its elements in the order in
+which `ClosureBuilder`, the one closure of the package, lists them: the
+identity, then coset by coset. Each group carries immutable element values
+(permutation tuples, matrices, residues, index tuples, ...). Only the leaf
+groups, whose values are permutations, matrices, residues or vectors,
+multiply values: they find the product's index in a value dict and memoize
+the products they are asked for in one dict keyed by the index pair. Groups
+built from other groups multiply on indices and keep no memo: direct and
+semidirect products read mixed-radix digits, induced groups multiply
+digit-wise, quotients multiply coset representatives and materialized
+subgroups multiply their members in the parent (the image of N in N x| H
+multiplies in N), so a product costs a few products further down and the
+only memos are those of the leaves (fiber products stay value-level). No
+Cayley table is ever materialized: large groups touch only a small part of
 theirs, so construction cost stays linear in the order.
 
 Conventions, used consistently everywhere:
@@ -74,6 +76,13 @@ def factorize(n):
     if n > 1:
         out[n] = out.get(n, 0) + 1
     return out
+
+
+def is_prime(n, cap=CLOSURE_CAP):
+    """True iff n is a prime; CapExceeded above cap, before any division."""
+    if n > cap:
+        raise CapExceeded(f"prime candidate {n} exceeds cap {cap}")
+    return n > 1 and factorize(n) == {n: 1}
 
 
 # -- records ------------------------------------------------------------------
@@ -268,30 +277,15 @@ class Group:
 
 def generate_group(identity_value, gen_values, vmul, vinv, labeler, name,
                    closure_cap=CLOSURE_CAP, kind="table"):
-    """Close generator values under multiplication, breadth-first.
-
-    Canonical element order: identity first, then BFS discovery order over
-    right-multiplication by the generators, which makes every downstream
-    report deterministic.
-    """
-    gen_values = [g for g in dict.fromkeys(gen_values) if g != identity_value]
-    values = [identity_value]
-    index = {identity_value: 0}
-    k = 0
-    while k < len(values):
-        x = values[k]
-        k += 1
-        for g in gen_values:
-            y = vmul(x, g)
-            if y not in index:
-                index[y] = len(values)
-                values.append(y)
-                if len(values) > closure_cap:
-                    raise CapExceeded(
-                        f"closure of {name!r} exceeded cap {closure_cap}")
-    gen_indices = [index[g] for g in gen_values]
-    return Group(values, vmul, vinv, labeler, name=name,
-                 generators=gen_indices, kind=kind)
+    """Close generator values under multiplication in a `ClosureBuilder`:
+    the canonical element order is the identity, then coset by coset as the
+    generators are adopted in the order given."""
+    cb = ClosureBuilder(vmul, identity_value, cap=closure_cap, name=name)
+    for g in gen_values:
+        cb.add(g)
+    G = Group(cb.mlist, vmul, vinv, labeler, name=name, kind=kind)
+    G.generators = map(G.index_of, gen_values)
+    return G
 
 
 # -- subgroups ---------------------------------------------------------------
@@ -425,9 +419,12 @@ def full_subgroup(G):
 
 
 class ClosureBuilder:
-    """Incremental subgroup closure inside a parent group, by Dimino's
+    """Incremental closure under any associative product, by Dimino's
     algorithm (G. Butler, Fundamental Algorithms for Permutation Groups,
     LNCS 559, 1991, ch. 6).
+
+    `mul` is any product with identity `identity`: a group's index product
+    for subgroups, or a leaf group's value product in `generate_group`.
 
     Invariant: between calls, `mlist` is the whole subgroup H = <gens>,
     identity first, listed coset by coset. Adopting g not in H appends
@@ -437,7 +434,8 @@ class ClosureBuilder:
     coset, and so does all of H*(r*s), so once every representative has
     been tried the listed cosets are closed under the generators and form
     <H, g>. When H = 1 the cosets are single elements, so the closure
-    walks the powers of g.
+    walks the powers of g. A `cap` is checked after each appended coset,
+    which is no larger than the list before it, so at most 2 * cap are held.
 
     Cost: one product per new member that does not head its coset, plus
     one per (new coset, generator) pair, where multiplying every member
@@ -446,20 +444,23 @@ class ClosureBuilder:
     the subgroup and the generator list stays logarithmic in |H|.
     """
 
-    def __init__(self, G):
-        self.G = G
-        self.member_set = {0}
-        self.mlist = [0]
+    def __init__(self, mul, identity=0, cap=None, name="group"):
+        self.mul = mul
+        self.member_set = {identity}
+        self.mlist = [identity]
         self.gens = []
+        self.cap = cap
+        self.name = name
 
     def add(self, g):
         """Adopt g as a generator if new; returns True when the closure grew."""
         member_set = self.member_set
         if g in member_set:
             return False
-        mul = self.G.mul
+        mul = self.mul
         mlist = self.mlist
         gens = self.gens
+        cap = self.cap
         gens.append(g)
         n = len(mlist)
 
@@ -470,6 +471,9 @@ class ClosureBuilder:
                          itertools.repeat(e))
             mlist.extend(coset)
             member_set.update(coset)
+            if cap is not None and len(mlist) > cap:
+                raise CapExceeded(
+                    f"closure of {self.name!r} exceeded cap {cap}")
 
         append_coset(g)
         head = n
@@ -488,7 +492,7 @@ class ClosureBuilder:
 
 def subgroup_closure(G, seeds):
     """Members of <seeds> as a sorted tuple of indices (deterministic)."""
-    cb = ClosureBuilder(G)
+    cb = ClosureBuilder(G.mul)
     for s in seeds:
         cb.add(s)
     return cb.sorted_members()
@@ -503,7 +507,7 @@ def greedy_generators(G, members):
     """Small generating set for a known subgroup, chosen deterministically."""
     if len(members) == 1:
         return ()
-    cb = ClosureBuilder(G)
+    cb = ClosureBuilder(G.mul)
     for x in members:
         cb.add(x)
         if len(cb.member_set) == len(members):
@@ -514,7 +518,7 @@ def greedy_generators(G, members):
 def _conjugation_closure(G, seed, conjugators, normal):
     """Smallest subgroup containing seed and stable under conjugation by
     the conjugators, which generate the group it is normal in."""
-    cb = ClosureBuilder(G)
+    cb = ClosureBuilder(G.mul)
     for s in seed:
         cb.add(s)
     # conjugation-stabilize: conjugating the adopted generators by the
@@ -798,12 +802,8 @@ def direct_product_many(factors, name=None, closure_cap=CLOSURE_CAP):
         return "(" + ", ".join(f.label(x) for f, x in zip(factors, a)) + ")"
 
     values = itertools.product(*[range(f.order) for f in factors])
-    gens = []
-    for k, f in enumerate(factors):
-        for g in f.generators:
-            t = [0] * len(factors)
-            t[k] = g
-            gens.append(tuple(t))
+    gens = [_at(len(factors), k, g)
+            for k, f in enumerate(factors) for g in f.generators]
     if name is None:
         name = " x ".join(f.name for f in factors)
     P = Group(values, mul, inv, labeler, name=name, kind="product",
@@ -817,16 +817,16 @@ def direct_product(G, H):
     return direct_product_many([G, H])
 
 
+def _at(n, k, x):
+    """The n-tuple with x at position k and the identity 0 elsewhere."""
+    return (0,) * k + (x,) + (0,) * (n - k - 1)
+
+
 def product_embedding(P, k):
     """Canonical embedding of factor k into the product P."""
-    factors = P.factors
-    f = factors[k]
-    mapping = []
-    for x in range(f.order):
-        t = [0] * len(factors)
-        t[k] = x
-        mapping.append(P.index_of(tuple(t)))
-    return Homomorphism(f, P, mapping)
+    n = len(P.factors)
+    return Homomorphism(P.factors[k], P, [
+        P.index_of(_at(n, k, x)) for x in range(P.factors[k].order)])
 
 
 def product_projection(P, k):

@@ -11,17 +11,15 @@ def cyclic_group(n, closure_cap=CLOSURE_CAP):
     if n < 1:
         raise UnknownConstructor(f"C{n} undefined")
     check_order(closure_cap, f"C{n}", (n,))
-    G = Group(range(n), lambda a, b: (a + b) % n, lambda a: (-a) % n,
-              str, name=f"C{n}", generators=[1 % n] if n > 1 else [],
-              kind="cyclic")
-    return G
+    return Group(range(n), lambda a, b: (a + b) % n, lambda a: (-a) % n,
+                 str, name=f"C{n}", generators=[1 % n] if n > 1 else [],
+                 kind="cyclic")
 
 
 def klein_group(closure_cap=CLOSURE_CAP):
     """V4 as the regular degree-4 permutation group."""
-    G = group_from_perm_generators(4, ["(1 2)(3 4)", "(1 3)(2 4)"], name="V4",
-                                   closure_cap=closure_cap)
-    return G
+    return group_from_perm_generators(4, ["(1 2)(3 4)", "(1 3)(2 4)"],
+                                      name="V4", closure_cap=closure_cap)
 
 
 def dihedral_group(n, closure_cap=CLOSURE_CAP):
@@ -71,7 +69,6 @@ def quaternion_group():
     """Q8 with labels 1, -1, i, -i, j, -j, k, -k."""
     # Elements as (sign, axis) with axis in {1, i, j, k}; the axis products
     # follow the usual quaternion rules.
-    axes = ["1", "i", "j", "k"]
     prod = {
         ("1", "1"): (1, "1"), ("1", "i"): (1, "i"), ("1", "j"): (1, "j"),
         ("1", "k"): (1, "k"), ("i", "1"): (1, "i"), ("j", "1"): (1, "j"),

@@ -22,6 +22,7 @@ from .core import (
     GroupAction,
     Subgroup,
     extend_along_cayley_graph,
+    is_prime,
     set_field,
 )
 from .errors import DimensionTooLarge, NotAnAction, PropositionViolated
@@ -170,12 +171,8 @@ def vector_group(p, dim):
 
     G = Group(values, vmul, vinv, lambda v: "(" + ",".join(map(str, v)) + ")",
               name=f"F{p}^{dim}", kind="vector")
-    gens = []
-    for i in range(dim):
-        e = [0] * dim
-        e[i] = 1
-        gens.append(G.index_of(tuple(e)))
-    G.generators = gens
+    G.generators = [G.index_of(tuple(int(j == i) for j in range(dim)))
+                    for i in range(dim)]
     return G
 
 
@@ -303,8 +300,11 @@ def v_chain(G, X: GSet, p, depth):
     f^g(x) = f(x.g). Basis vectors of V_i and generators of the series term
     suffice: the defining set is linear in f, and f - f^w telescopes over a
     word w = g.w' as (f - f^{w'}) + (f'' - f''^g) with f'' = f^{w'} in V_i,
-    since each V_i is stable under the whole group.
+    since each V_i is stable under the whole group. ValueError unless p is
+    a prime: over Z/p for a composite p the rows span no vector space.
     """
+    if not is_prime(p):
+        raise ValueError(f"p must be a prime, got {p}")
     if X.group is not G:
         raise NotAnAction("X must be a G-set for the given G")
     if X.size > SET_SIZE_CAP:

@@ -393,7 +393,9 @@ def residue_kernel(n, ell, k, closure_cap=CLOSURE_CAP):
 
 def is_l_group(G, ell):
     """True iff the order of G, a group or a Subgroup, is a power of ell
-    (1 counts)."""
+    (1 counts). ValueError for ell < 2, which no order is a power of."""
+    if ell < 2:
+        raise ValueError(f"ell must be >= 2, got {ell}")
     n = G.order
     while n % ell == 0:
         n //= ell

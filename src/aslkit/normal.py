@@ -52,7 +52,8 @@ LATTICE_CLASS_CAP = 64
 
 
 class NormalLattice:
-    """All normal subgroups of a group, sorted by (order, member set)."""
+    """All normal subgroups of a group, sorted by (order, member set): ties
+    follow the element order; `normals` prints them ordered by labels."""
 
     def __init__(self, parent, subgroups):
         self.parent = parent
@@ -64,11 +65,6 @@ class NormalLattice:
 
     def __iter__(self):
         return iter(self.subgroups)
-
-    def inclusion_matrix(self):
-        subs = self.subgroups
-        return [[1 if a.member_set <= b.member_set else 0 for b in subs]
-                for a in subs]
 
     def maximal_proper(self):
         """Proper members maximal under inclusion."""
@@ -133,26 +129,20 @@ def _subgroup_of(G, mask):
     return Subgroup(G, _class_members(G, mask), normal=True)
 
 
-def _class_spans(G):
-    """{class mask of <c^G>: c}, c the first class generating it.
-
-    A class whose span is computed walks the powers x^k of its first
-    member x once, which also gives the order n of x; each class met at a
-    k prime to n gets the same span without computing it. Classes are
-    still visited in order, so each mask keeps its first class as key.
-    """
-    spans = G._cache.get("class_spans")
-    if spans is None:
+def power_families(G):
+    """For each conjugacy class, the first class of its power family: the
+    classes of the x^k, k prime to the order of x, x in the class. Two
+    classes share a family exactly when the cyclic subgroups they generate
+    are conjugate, so they also share one normal closure. Cached."""
+    lead = G._cache.get("power_families")
+    if lead is None:
         classes = conjugacy_classes(G)
         cls_of = class_index_of(G)
         mul = G.mul
-        # every span holds the identity class, so 0 marks one not yet known
-        shared = [0] * len(classes)
-        spans = {}
+        lead = [None] * len(classes)
         for c, cls in enumerate(classes):
-            span = shared[c]
-            if not span:
-                span = _span(G, 1, (c,))
+            if lead[c] is None:
+                lead[c] = c
                 x = y = cls[0]
                 powers = []         # classes of x, x^2, ..., x^(n-1)
                 while y != 0:
@@ -161,8 +151,20 @@ def _class_spans(G):
                 n = len(powers) + 1
                 for k, d in enumerate(powers, 1):
                     if math.gcd(k, n) == 1:
-                        shared[d] = span
-            spans.setdefault(span, c)
+                        lead[d] = c
+        G._cache["power_families"] = lead
+    return lead
+
+
+def _class_spans(G):
+    """{class mask of <c^G>: c}, c the first class generating it; a span
+    is computed once per power family, by its first class."""
+    spans = G._cache.get("class_spans")
+    if spans is None:
+        spans = {}
+        for c, first in enumerate(power_families(G)):
+            if c == first:
+                spans.setdefault(_span(G, 1, (c,)), c)
         G._cache["class_spans"] = spans
     return spans
 

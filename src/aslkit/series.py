@@ -57,6 +57,8 @@ P, not of G.
 
 from __future__ import annotations
 
+import math
+
 from .core import (
     FrozenRecord,
     Subgroup,
@@ -179,23 +181,14 @@ def abelian_invariants(H):
             if c == counts[-1]:
                 break
             counts.append(c)
-        lam_conj = []
-        for j in range(1, len(counts)):
-            e = _int_log(counts[j] // counts[j - 1], p)
-            lam_conj.append(e)
+        lam_conj = [_int_log(b // a, p) for a, b in zip(counts, counts[1:])]
         # conjugate partition gives the exponents of the cyclic p-factors
-        lam = []
-        for i in range(1, (lam_conj[0] if lam_conj else 0) + 1):
-            lam.append(sum(1 for e in lam_conj if e >= i))
+        lam = [sum(1 for e in lam_conj if e >= i)
+               for i in range(1, (lam_conj[0] if lam_conj else 0) + 1)]
         primary[p] = sorted(lam, reverse=True)
     width = max(len(v) for v in primary.values())
-    factors = []
-    for i in range(width):
-        d = 1
-        for p, lam in primary.items():
-            if i < len(lam):
-                d *= p ** lam[i]
-        factors.append(d)
+    factors = [math.prod(p ** lam[i] for p, lam in primary.items()
+                         if i < len(lam)) for i in range(width)]
     # largest first -> divisibility chain smallest first
     return tuple(sorted(factors))
 

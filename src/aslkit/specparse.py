@@ -151,21 +151,20 @@ class _Cursor:
             return True
         return False
 
-    def name(self):
+    def _token(self, pattern, what):
+        """The text of pattern matched after any whitespace, and its start."""
         self.skip_ws()
-        m = re.match(r"[A-Za-z][A-Za-z0-9-]*", self.text[self.pos:])
+        m = re.match(pattern, self.text[self.pos:])
         if not m:
-            self.error("expected a name")
+            self.error(f"expected {what}")
         self.pos += m.end()
-        return m.group(0)
+        return m.group(0), self.pos - m.end()
+
+    def name(self):
+        return self._token(r"[A-Za-z][A-Za-z0-9-]*", "a name")[0]
 
     def integer(self):
-        self.skip_ws()
-        m = re.match(r"\d+", self.text[self.pos:])
-        if not m:
-            self.error("expected an integer")
-        self.pos += m.end()
-        return self.to_int(m.group(0), self.pos - m.end())
+        return self.to_int(*self._token(r"\d+", "an integer"))
 
     def to_int(self, digits, pos):
         try:

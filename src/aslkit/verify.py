@@ -12,6 +12,7 @@ pure-Python cases gain nothing from a pool.
 from __future__ import annotations
 
 import gc
+import itertools
 import math
 import time
 from functools import lru_cache, partial
@@ -55,7 +56,8 @@ from .matgroups import (
     sl_group,
     validate_lp,
 )
-from .normal import all_normal_subgroups, product_normal_decomposition
+from .normal import all_normal_subgroups, power_families, \
+    product_normal_decomposition
 from .oracle import ORACLE_CLASS_CAP, oracle_D, oracle_length, \
     oracle_normal_subgroups
 from .series import (
@@ -261,23 +263,11 @@ def _extension_law(g):
 
 
 def _sign_hom(sym, c2):
-    mapping = []
-    for i in range(sym.order):
-        perm = sym.value(i)
-        parity = 0
-        seen = [False] * len(perm)
-        for s in range(len(perm)):
-            if seen[s]:
-                continue
-            length = 0
-            t = s
-            while not seen[t]:
-                seen[t] = True
-                t = perm[t]
-                length += 1
-            parity ^= (length - 1) & 1
-        mapping.append(parity)
-    return Homomorphism(sym, c2, mapping)
+    """The sign map, a permutation's sign being the parity of its
+    inversions."""
+    return Homomorphism(sym, c2, [
+        sum(a > b for a, b in itertools.combinations(sym.value(i), 2)) % 2
+        for i in range(sym.order)])
 
 
 def _mod_hom(cn, cm):
@@ -486,19 +476,11 @@ def _exact_sequence_cases():
 
 
 def _msigma_cases():
-    jobs = []
-
-    def case_c3():
-        c3 = cyclic_group(3)
-        w = msigma_witness(cyclic_group(2), c3, trivial_subgroup(c3), m=0)
+    def case_cn(n):
+        cn = cyclic_group(n)
+        w = msigma_witness(cyclic_group(2), cn, trivial_subgroup(cn), m=0)
         return w is not None, f"witness index {w.index if w else None}"
-    jobs.append(("A=C2 G=C3 G0=1 m=0", case_c3))
-
-    def case_c2():
-        c2 = cyclic_group(2)
-        w = msigma_witness(cyclic_group(2), c2, trivial_subgroup(c2), m=0)
-        return w is not None, f"witness index {w.index if w else None}"
-    jobs.append(("A=C2 G=C2 G0=1 m=0", case_c2))
+    jobs = [(f"A=C2 G=C{n} G0=1 m=0", partial(case_cn, n)) for n in (3, 2)]
 
     def case_a4():
         a4 = alternating_group(4)
@@ -574,21 +556,27 @@ def _nontrivial_action():
     return ok, f"|H'| = {hp.order} = |Ind| * |G'| = {16 * gp.order}"
 
 
+def _trvrep_subgroups(g):
+    """The cyclic subgroups of g up to conjugacy, one per power family of
+    classes (the identity's gives 1), then g itself unless it is cyclic."""
+    classes = conjugacy_classes(g)
+    subs = [subgroup_generated(g, [classes[c][0]])
+            for c, first in enumerate(power_families(g)) if c == first]
+    if not any(sub.is_full() for sub in subs):
+        subs.append(full_subgroup(g))
+    return subs
+
+
 def _trvrep(g):
     """Orbit hypothesis forces a nonzero chain term.
 
-    G0 runs over the distinct cyclic subgroups generated by one conjugacy
-    class representative each, plus the trivial and full subgroups; full
-    subgroup enumeration is out of scope, and these already give every orbit
-    size pattern the statement quantifies over at this scale.
+    G0 runs over `_trvrep_subgroups`: conjugate subgroups give isomorphic
+    coset spaces, so the instance count is an invariant of the group. Full
+    subgroup enumeration is out of scope, and these already give every
+    orbit size pattern the statement quantifies over at this scale.
     """
-    subs = {frozenset([0]): trivial_subgroup(g)}
-    for cls in conjugacy_classes(g):
-        sub = subgroup_generated(g, [cls[0]])
-        subs.setdefault(sub.member_set, sub)
-    subs.setdefault(frozenset(range(g.order)), full_subgroup(g))
     checked = 0
-    for sub in subs.values():
+    for sub in _trvrep_subgroups(g):
         x = coset_space(g, sub)
         needed = [m for m in (0, 1) if orbit_hypothesis(g, x, m)]
         if not needed:

@@ -198,7 +198,7 @@ SUITE_DIGESTS = {
     "nontrivial-action":
         "ebf95d279aee4e618bc8d6376c5963c65bc4d69cfe999d1f821ce289327c0b76",
     "trvrep":
-        "f65591add435295343dcda4d123468e83f11897164cc9c5b03598362a8a93c75",
+        "b5c7df2c407b108d0eb258e74712ad7771717f9a22416cf28b1f31b574253ccc",
     "kernel":
         "d88e0a22bcfa769f81128aa97a20a7376d9309abb19f5a54bcb945e564c05fbd",
     "lp":

@@ -13,6 +13,8 @@ import pytest
 
 import aslkit
 from aslkit.cli import _build_parser, run
+from aslkit.specparse import group_from_spec
+from aslkit.verify import _trvrep
 
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
@@ -137,6 +139,82 @@ def test_usage_error_exit_2():
     assert code == 2
     _, code = run(["vchain", "--g", "C2", "--x", "bad", "-p", "2", "-d", "1"])
     assert code == 2
+
+
+OUT_OF_DOMAIN = [
+    (["lp", "S4", "-l", "1", "-J", "2"],
+     "argument -l: must be a prime, got 1"),
+    (["lp", "S4", "-l", "0", "-J", "2"],
+     "argument -l: must be a prime, got 0"),
+    (["lp", "S4", "-l", "4", "-J", "2"],
+     "argument -l: must be a prime, got 4"),
+    (["vchain", "--g", "S3", "--x", "coset:1", "-p", "6", "-d", "2"],
+     "argument -p: must be a prime, got 6"),
+    (["vchain", "--g", "S3", "--x", "coset:1", "-p", "9", "-d", "2"],
+     "argument -p: must be a prime, got 9"),
+    (["vchain", "--g", "S3", "--x", "coset:1", "-p", "0", "-d", "2"],
+     "argument -p: must be a prime, got 0"),
+    (["vchain", "--g", "C4", "--x", "coset:1", "-p", "4", "-d", "2"],
+     "argument -p: must be a prime, got 4"),
+    (["vchain", "--g", "C4", "--x", "coset:1", "-p", "1", "-d", "2"],
+     "argument -p: must be a prime, got 1"),
+    (["vchain", "--g", "C4", "--x", "coset:1", "-p", "2", "-d", "-1"],
+     "argument -d: must be >= 0, got -1"),
+    (["msigma", "--a", "C2", "--g", "S3", "--g0", "1", "-m", "-1"],
+     "argument -m: must be >= 0, got -1"),
+    (["kernelcheck", "-n", "-1", "-l", "2", "-k", "2"],
+     "argument -n: must be >= 0, got -1"),
+]
+
+
+@pytest.mark.parametrize("argv,message", OUT_OF_DOMAIN,
+                         ids=[" ".join(a) for a, _ in OUT_OF_DOMAIN])
+def test_out_of_domain_flags_are_usage_errors(argv, message):
+    """A prime flag that is not a prime, or a count below 0, is refused
+    before any work, naming the flag; `lp -l 1` used to loop forever."""
+    t0 = time.monotonic()
+    payload, code = _json_result(argv)
+    assert code == 2
+    assert payload["result"]["error"] == message
+    assert time.monotonic() - t0 < 5
+
+
+def test_prime_flag_is_bounded_before_trial_division():
+    t0 = time.monotonic()
+    payload, code = _json_result(["lp", "S4", "-l", PRIME, "-J", "2"])
+    assert code == 3
+    assert f"prime candidate {PRIME} exceeds cap" in payload["result"]["error"]
+    assert time.monotonic() - t0 < 5
+
+
+# the same group, its generators listed in two orders
+REORDERED = [
+    ("perm(6; (1 2)(3 4), (1 3)(2 4), (5 6))",
+     "perm(6; (5 6), (1 3)(2 4), (1 2)(3 4))"),
+    ("perm(8; (1 2 3 4 5 6 7 8), (1 8)(2 7)(3 6)(4 5))",
+     "perm(8; (1 8)(2 7)(3 6)(4 5), (1 2 3 4 5 6 7 8))"),
+    ("mat(Z9; [[2, 1], [0, 1]], [[1, 3], [0, 1]])",
+     "mat(Z9; [[1, 3], [0, 1]], [[2, 1], [0, 1]])"),
+    # and A4 from two generating sets
+    ("perm(4; (1 2 3), (2 3 4))", "perm(4; (1 2)(3 4), (1 2 3))"),
+]
+
+
+@pytest.mark.parametrize("first,second", REORDERED)
+def test_reports_do_not_depend_on_generator_order(first, second):
+    """Listing the generators in another order enumerates the elements in
+    another order; `normals`, `series`, `factors`, `length` and the
+    `trvrep` check read only the group, so they agree apart from the
+    echoed spec."""
+    for cmd in ("normals", "series", "factors", "length"):
+        results = []
+        for spec in (first, second):
+            payload, code = _json_result(["--json", cmd, spec])
+            assert code == 0
+            results.append(dict(payload["result"], spec=None))
+        assert results[0] == results[1], cmd
+    assert _trvrep(group_from_spec(first)) == \
+        _trvrep(group_from_spec(second))
 
 
 def test_cap_exceeded_exit_3():

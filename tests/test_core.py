@@ -7,6 +7,7 @@ from group_strategies import perm_groups
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from aslkit import core, matgroups
 from aslkit.catalog import catalog
 from aslkit.core import (
     ClosureBuilder,
@@ -44,7 +45,15 @@ from aslkit.families import (
     dihedral_group,
     symmetric_group,
 )
-from aslkit.matgroups import LPFiltration
+from aslkit.matgroups import (
+    LPFiltration,
+    MatrixGroupSpec,
+    PrimePowerField,
+    elementary_matrix,
+    gl_group,
+    matrix_group,
+    unitriangular_group,
+)
 from aslkit.normal import all_normal_subgroups, class_closures
 from aslkit.series import FactorDescriptor
 from aslkit.specparse import Named, PermSpec
@@ -85,9 +94,43 @@ def test_cycle_label_roundtrip():
 
 
 def test_closure_cap():
-    with pytest.raises(CapExceeded):
-        group_from_perm_generators(5, ["(1 2 3 4 5)", "(1 2)"],
+    with pytest.raises(CapExceeded,
+                       match=r"closure of 'S5' exceeded cap 100$"):
+        group_from_perm_generators(5, ["(1 2 3 4 5)", "(1 2)"], name="S5",
                                    closure_cap=100)
+    # GL(3,2), order 168, from its transvections
+    gens = tuple(elementary_matrix(3, i, j, 1)
+                 for i in range(3) for j in range(3) if i != j)
+    spec = MatrixGroupSpec(3, PrimePowerField(2), gens)
+    with pytest.raises(CapExceeded,
+                       match=r"closure of 'GL3' exceeded cap 100$"):
+        matrix_group(spec, name="GL3", closure_cap=100)
+    assert matrix_group(spec, name="GL3", closure_cap=168).order == 168
+
+
+@pytest.mark.parametrize("build,bound", [
+    (lambda: unitriangular_group(4, 5), 16000),
+    (lambda: alternating_group(7), 2600),
+    (lambda: gl_group(3, 2), 200),
+], ids=["U(4,5)", "A7", "GL(3,2)"])
+def test_leaf_groups_close_coset_by_coset(monkeypatch, build, bound):
+    """A leaf group closes its generator values in a ClosureBuilder. A
+    sweep of every member by every generator took |G| * #generators value
+    products: 46,875 for U(4,5), 12,600 for A7 and 1,008 for GL(3,2)."""
+    calls = 0
+    real = core.generate_group
+
+    def counting(identity, gens, vmul, *args, **kwargs):
+        def counted(a, b):
+            nonlocal calls
+            calls += 1
+            return vmul(a, b)
+        return real(identity, gens, counted, *args, **kwargs)
+
+    monkeypatch.setattr(core, "generate_group", counting)
+    monkeypatch.setattr(matgroups, "generate_group", counting)
+    build()
+    assert 0 < calls <= bound
 
 
 def test_canonical_order_identity_first(s4):
@@ -361,7 +404,7 @@ def _add_against_sweep(G, seeds):
     generators, and that the members are listed coset by coset: the old
     subgroup H first and unchanged, then right cosets H*r, each headed by
     its representative r. A seed None adds the last member listed."""
-    cb, ref = ClosureBuilder(G), _SweptClosure(G)
+    cb, ref = ClosureBuilder(G.mul), _SweptClosure(G)
     for g in seeds:
         g = cb.mlist[-1] if g is None else g
         before = list(cb.mlist)
@@ -412,7 +455,7 @@ def test_cyclic_closure_walks_the_powers(count_products):
     s6 = symmetric_group(6)
     g = s6.index_of(perm_from_cycles(6, "(1 2 3)(4 5)"))
     count = count_products(s6)
-    cb = ClosureBuilder(s6)
+    cb = ClosureBuilder(s6.mul)
     cb.add(g)
     assert len(cb.mlist) == 6 and count() == 5
     x = g

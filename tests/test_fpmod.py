@@ -202,6 +202,14 @@ def test_v_chain_c2():
     assert dims == [2, 1, 0]
 
 
+@pytest.mark.parametrize("p", [0, 1, 4, 6, 9])
+def test_v_chain_refuses_a_p_that_is_not_a_prime(p):
+    c4 = cyclic_group(4)
+    x = coset_space(c4, trivial_subgroup(c4))
+    with pytest.raises(ValueError, match=f"p must be a prime, got {p}"):
+        v_chain(c4, x, p, 2)
+
+
 def test_v_chain_trivial_group():
     c1 = cyclic_group(1)
     x = GSet(c1, 4, [])

@@ -108,6 +108,13 @@ def test_sl24_is_a5():
     assert is_isomorphic(sl_group(2, 4), alternating_group(5))
 
 
+@pytest.mark.parametrize("ell", [1, 0, -3])
+def test_is_l_group_refuses_ell_below_2(s4, ell):
+    """n % 1 == 0 for every n, so ell = 1 used to divide forever."""
+    with pytest.raises(ValueError, match="ell must be >= 2"):
+        is_l_group(s4, ell)
+
+
 def test_glz_orders():
     assert glz_group(2, 2, 2).order == 96
     assert glz_group(2, 3, 1).order == 48
@@ -306,7 +313,7 @@ QUERY_DIGESTS = [
     "7e886140978d6000f7c1ca4e0f450b925dc2b6576a60bda6e1a5c18f0c207892",
     "bda57108422444c0b5bcba216412c53164fbc668faf81e9dbd5f9462c1131439",
     "e2b83c1286e04722ab6f0a190c6a4bdb09048de71c87bee30b5c28fe870007ad",
-    "73d9f07288c6bf7ffe2e0a822a7e16568933c61a14fa368c4c58fdf12fc8922e",
+    "afec322e359e096f1f54d27ee052921cacb3dbf9afe42cd282daafa6a32993ef",
     "9bb5c8663270424375259bf736856e52cfbe0d8040f7371ac609176c4628c9a6",
     "2d3d0916a695f503e8ec912dad287b130ac7cb2da4f68e4a5791c38cc6ba8cb9",
     "f4f5cd134e9d952b7989b6a804d04edd12c8c63948f1b42a73534ef81639d896",
