@@ -793,6 +793,11 @@ def mixed_radix(factors):
     return mul, inv, encode
 
 
+def _at(n, k, x):
+    """The n-tuple with x at position k and the identity 0 elsewhere."""
+    return (0,) * k + (x,) + (0,) * (n - k - 1)
+
+
 def direct_product_many(factors, name=None, closure_cap=CLOSURE_CAP):
     """Direct product with tuple values; factors and embeddings retained."""
     check_order(closure_cap, "direct product", (f.order for f in factors))
@@ -815,11 +820,6 @@ def direct_product_many(factors, name=None, closure_cap=CLOSURE_CAP):
 
 def direct_product(G, H):
     return direct_product_many([G, H])
-
-
-def _at(n, k, x):
-    """The n-tuple with x at position k and the identity 0 elsewhere."""
-    return (0,) * k + (x,) + (0,) * (n - k - 1)
 
 
 def product_embedding(P, k):
