@@ -7,7 +7,7 @@ text, never in the JSON, so reports stay reproducible. Exit codes: 0 pass,
 1 verification failure, 2 usage error, 3 cap exceeded.
 
 The global options --json and --closure-cap are accepted before or after
-the subcommand; any other option is a usage error.
+the subcommand; any other option or abbreviation is a usage error.
 """
 
 from __future__ import annotations
@@ -18,16 +18,9 @@ import sys
 import time
 
 from . import __version__
-from .core import GroupAction, Record, is_prime, subgroup_generated, \
-    trivial_subgroup
-from .errors import (
-    CapExceeded,
-    DimensionTooLarge,
-    GroupSpecError,
-    ToolkitError,
-    TooManyClasses,
-    UnknownConstructor,
-)
+from .core import CLOSURE_CAP, GroupAction, Record, is_prime, \
+    subgroup_generated, trivial_subgroup
+from .errors import GroupSpecError, ToolkitError, UsageError
 from .fpmod import coset_space, v_chain
 from .matgroups import is_l_group, residue_kernel, search_lp, validate_lp
 from .normal import all_normal_subgroups
@@ -50,8 +43,8 @@ SCHEMA_VERSION = 1
 
 EXIT_OK = 0
 EXIT_VERIFICATION_FAILED = 1
-EXIT_USAGE = 2
-EXIT_CAP = 3
+# the text report of an error, by the exit code its type declares
+_TEXT_PREFIX = {1: "verification failure", 2: "usage error", 3: "cap exceeded"}
 
 
 class Report(Record):
@@ -77,13 +70,9 @@ class Report(Record):
         return self.human + f"\nelapsed: {self.elapsed:.2f}s\n"
 
 
-class _UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise _UsageError(message)
+        raise UsageError(message)
 
 
 def _count(text):
@@ -91,6 +80,16 @@ def _count(text):
     if int(text) < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
     return int(text)
+
+
+def _positive(text):
+    """A flag that bounds an order or an index: an integer >= 1."""
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {text}")
+    return int(text)
+
+
+_positive.__name__ = "int"  # argparse reports "invalid int value: 'x'"
 
 
 def _prime(text):
@@ -101,11 +100,11 @@ def _prime(text):
 
 
 def _build_parser():
-    p = _Parser(prog="aslkit",
+    p = _Parser(prog="aslkit", allow_abbrev=False,
                 description="finite-group series, wreath, and module toolkit")
     p.add_argument("--json", action="store_true",
                    help="emit the machine-readable report")
-    p.add_argument("--closure-cap", type=int, default=100000)
+    p.add_argument("--closure-cap", type=int, default=CLOSURE_CAP)
     # the same flags are accepted after the subcommand; SUPPRESS keeps a
     # value given before the subcommand from being overwritten by defaults
     common = _Parser(add_help=False)
@@ -114,7 +113,7 @@ def _build_parser():
     common.add_argument("--closure-cap", type=int, default=argparse.SUPPRESS)
     sub = p.add_subparsers(dest="cmd", required=True,
                            parser_class=lambda **kw: _Parser(
-                               parents=[common], **kw))
+                               parents=[common], allow_abbrev=False, **kw))
 
     sp = sub.add_parser("length", help="abelian-simple length of SPEC")
     sp.add_argument("spec")
@@ -154,11 +153,11 @@ def _build_parser():
     sp = sub.add_parser("lp", help="search and validate a filtration")
     sp.add_argument("spec")
     sp.add_argument("-l", type=_prime, required=True)
-    sp.add_argument("-J", type=int, required=True)
+    sp.add_argument("-J", type=_positive, required=True)
 
     sp = sub.add_parser("verify", help="run a named verification suite")
     sp.add_argument("suite", choices=sorted(SUITES) + ["all"])
-    sp.add_argument("--max-order", type=int, default=200)
+    sp.add_argument("--max-order", type=_positive, default=200)
     return p
 
 
@@ -177,10 +176,10 @@ def _load_action(path, A, G0):
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
     except OSError as exc:
-        raise _UsageError(
+        raise UsageError(
             f"cannot read action file {path!r}: {exc.strerror}") from None
     except UnicodeDecodeError:
-        raise _UsageError(
+        raise UsageError(
             f"action file {path!r} is not UTF-8 text") from None
     table = {}
     for lineno, line in enumerate(lines, 1):
@@ -320,7 +319,7 @@ def _cmd_msigma(args):
 def _cmd_vchain(args):
     G = group_from_spec(args.g, closure_cap=args.closure_cap)
     if not args.x.startswith("coset:"):
-        raise _UsageError("--x must have the form coset:ELEMS")
+        raise UsageError("--x must have the form coset:ELEMS")
     G0 = _parse_g0(G, args.x[len("coset:"):])
     X = coset_space(G, G0)
     chain = v_chain(G, X, args.p, args.d)
@@ -410,25 +409,17 @@ _COMMANDS = {
 
 
 def run(argv):
-    """Execute a CLI invocation; returns (Report, exit_code)."""
-    parser = _build_parser()
+    """Execute a CLI invocation; returns (Report, exit_code). An error exits
+    with its type's `exit_code`; the JSON names the type on code 1 only."""
     t0 = time.monotonic()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
         result, human, code = _COMMANDS[args.cmd](args)
-    except (_UsageError, GroupSpecError, UnknownConstructor) as exc:
-        report = Report(list(argv), {"error": str(exc)},
-                        f"usage error: {exc}", time.monotonic() - t0)
-        return report, EXIT_USAGE
-    except (CapExceeded, TooManyClasses, DimensionTooLarge) as exc:
-        report = Report(list(argv), {"error": str(exc)},
-                        f"cap exceeded: {exc}", time.monotonic() - t0)
-        return report, EXIT_CAP
     except ToolkitError as exc:
-        report = Report(list(argv),
-                        {"error": f"{type(exc).__name__}: {exc}"},
-                        f"verification failure: {exc}", time.monotonic() - t0)
-        return report, EXIT_VERIFICATION_FAILED
+        code = exc.exit_code
+        result = {"error": str(exc) if code != EXIT_VERIFICATION_FAILED
+                  else f"{type(exc).__name__}: {exc}"}
+        human = f"{_TEXT_PREFIX[code]}: {exc}"
     report = Report(list(argv), result, human, time.monotonic() - t0)
     return report, code
 
@@ -436,11 +427,8 @@ def run(argv):
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
     report, code = run(argv)
-    wants_json = "--json" in argv
-    if wants_json:
-        sys.stdout.write(report.to_json())
-    else:
-        sys.stdout.write(report.to_text())
+    sys.stdout.write(report.to_json() if "--json" in argv
+                     else report.to_text())
     return code
 
 

@@ -37,6 +37,7 @@ from .errors import (
     NotAutomorphisms,
     NotNormal,
     NotSurjective,
+    UsageError,
 )
 
 CLOSURE_CAP = 100000
@@ -157,7 +158,7 @@ class Group:
         if encode is None:
             index = {v: i for i, v in enumerate(values)}
             if len(index) != self.order:
-                raise ValueError("duplicate element values")
+                raise UsageError("duplicate element values")
             self._index = index
             self._encode = index.__getitem__
             self._vmul = mul
@@ -846,9 +847,9 @@ def semidirect_product(N, H, act, name=None, validate=True,
         raise NotAnAction("action must have actor H and space N")
     if validate:
         act.validate()
-    total = N.order * H.order
-    if total > closure_cap:
-        raise CapExceeded(f"semidirect order {total} exceeds cap {closure_cap}")
+    if name is None:
+        name = f"{N.name} x| {H.name}"
+    check_order(closure_cap, name, (N.order, H.order))
     app = act.apply
     nmul, ninv, hmul, hinv = N.product(), N.inv, H.product(), H.inv
     nh = H.order
@@ -878,8 +879,6 @@ def semidirect_product(N, H, act, name=None, validate=True,
         return f"({N.label(a[0])}; {H.label(a[1])})"
 
     values = itertools.product(range(N.order), range(H.order))
-    if name is None:
-        name = f"{N.name} x| {H.name}"
     W = Group(values, mul, inv, labeler, name=name, kind="semidirect",
               encode=encode)
     gens = [(g, 0) for g in N.generators] + [(0, g) for g in H.generators]
@@ -956,9 +955,9 @@ def fiber_product(alpha, beta):
     if not alpha.is_surjective() or not beta.is_surjective():
         raise NotSurjective("fiber product needs surjective maps")
     G, H, K = alpha.source, beta.source, alpha.target
+    name = f"{G.name} xK {H.name}"
     total = G.order * H.order // K.order
-    if total > CLOSURE_CAP:
-        raise CapExceeded(f"fiber product order {total} exceeds cap")
+    check_order(CLOSURE_CAP, name, (total,))
     am, bm = alpha.mapping, beta.mapping
     values = [(i, j) for i in range(G.order) for j in range(H.order)
               if am[i] == bm[j]]
@@ -973,8 +972,7 @@ def fiber_product(alpha, beta):
     def labeler(a):
         return f"({G.label(a[0])}, {H.label(a[1])})"
 
-    P = Group(values, vmul, vinv, labeler,
-              name=f"{G.name} xK {H.name}", kind="fiber")
+    P = Group(values, vmul, vinv, labeler, name=name, kind="fiber")
     P.factors = (G, H)
     return P
 

@@ -1,12 +1,20 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit. `exit_code` is the CLI exit
+code: 1 verification failure, 2 usage error (refused input), 3 cap exceeded."""
 
 
 class ToolkitError(Exception):
     """Base class for all toolkit errors."""
+    exit_code = 1
+
+
+class UsageError(ToolkitError, ValueError):
+    """An argument outside its domain; still a ValueError for callers."""
+    exit_code = 2
 
 
 class CapExceeded(ToolkitError):
     """A closure, order, or enumeration cap was exceeded."""
+    exit_code = 3
 
 
 class MalformedCycle(ToolkitError):
@@ -15,10 +23,12 @@ class MalformedCycle(ToolkitError):
 
 class NotAnAction(ToolkitError):
     """Supplied map violates the group-action laws."""
+    exit_code = 2
 
 
 class NotAutomorphisms(ToolkitError):
     """Supplied action is not by automorphisms."""
+    exit_code = 2
 
 
 class NotNormal(ToolkitError):
@@ -35,6 +45,7 @@ class NotInvariant(ToolkitError):
 
 class NotInvertible(ToolkitError):
     """Matrix is not invertible over its ring."""
+    exit_code = 2
 
 
 class NotSimpleFactor(ToolkitError):
@@ -49,7 +60,7 @@ class PropositionViolated(ToolkitError):
     """A proven statement failed on concrete data (internal bug)."""
 
 
-class TooManyClasses(ToolkitError):
+class TooManyClasses(CapExceeded):
     """Conjugacy class count exceeds the configured enumeration cap."""
 
 
@@ -57,7 +68,7 @@ class TrivialGroup(ToolkitError):
     """Operation undefined on the trivial group."""
 
 
-class DimensionTooLarge(ToolkitError):
+class DimensionTooLarge(CapExceeded):
     """Vector-space enumeration cap exceeded."""
 
 
@@ -67,6 +78,7 @@ class SearchFailed(ToolkitError):
 
 class GroupSpecError(ToolkitError):
     """Syntax error in the group-spec mini-language, with position info."""
+    exit_code = 2
 
     def __init__(self, message, line=1, column=1):
         super().__init__(f"{message} (line {line}, column {column})")

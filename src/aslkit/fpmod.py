@@ -25,7 +25,8 @@ from .core import (
     is_prime,
     set_field,
 )
-from .errors import DimensionTooLarge, NotAnAction, PropositionViolated
+from .errors import DimensionTooLarge, NotAnAction, PropositionViolated, \
+    UsageError
 from .matgroups import (
     ResidueRing,
     mat_identity,
@@ -300,11 +301,11 @@ def v_chain(G, X: GSet, p, depth):
     f^g(x) = f(x.g). Basis vectors of V_i and generators of the series term
     suffice: the defining set is linear in f, and f - f^w telescopes over a
     word w = g.w' as (f - f^{w'}) + (f'' - f''^g) with f'' = f^{w'} in V_i,
-    since each V_i is stable under the whole group. ValueError unless p is
+    since each V_i is stable under the whole group. UsageError unless p is
     a prime: over Z/p for a composite p the rows span no vector space.
     """
     if not is_prime(p):
-        raise ValueError(f"p must be a prime, got {p}")
+        raise UsageError(f"p must be a prime, got {p}")
     if X.group is not G:
         raise NotAnAction("X must be a G-set for the given G")
     if X.size > SET_SIZE_CAP:
@@ -323,8 +324,10 @@ def orbit_hypothesis(G, X: GSet, m):
     """True iff some point has an orbit under G^(m) larger than 2^m."""
     series = generalized_derived_series(G)
     term = series.term(m)
-    bound = 2 ** m
-    return any(len(X.orbit(x, term)) > bound for x in range(X.size))
+    # n > 2^m exactly when n - 1 >= 2^m, read by bit length: m may be too
+    # large for 2^m to be made
+    return any((len(X.orbit(x, term)) - 1).bit_length() > m
+               for x in range(X.size))
 
 
 def unipotent_derived_length(n, p):

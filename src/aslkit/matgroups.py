@@ -39,6 +39,7 @@ from .errors import (
     PropositionViolated,
     SearchFailed,
     UnknownConstructor,
+    UsageError,
 )
 from .families import alternating_group
 from .normal import all_normal_subgroups, simple_factor_orders
@@ -303,8 +304,15 @@ def _diag_unit(n, u):
     return elementary_matrix(n, 0, 0, u) if n else mat_identity(0)
 
 
+def _check_dimension(name, n):
+    """Refuse a negative matrix dimension before anything is built."""
+    if n < 0:
+        raise UnknownConstructor(f"{name} needs a dimension n >= 0, got {n}")
+
+
 def gl_group(n, q, closure_cap=CLOSURE_CAP):
     """GL(n, F_q) from transvections plus one diagonal unit."""
+    _check_dimension("GL", n)
     F = PrimePowerField(q)
     check_order(closure_cap, f"GL({n},{q})", _gl_factors(n, q, 1))
     gens = _transvection_gens(n, F)
@@ -316,6 +324,7 @@ def gl_group(n, q, closure_cap=CLOSURE_CAP):
 
 def sl_group(n, q, closure_cap=CLOSURE_CAP):
     """SL(n, F_q), generated by all transvections."""
+    _check_dimension("SL", n)
     F = PrimePowerField(q)
     check_order(closure_cap, f"SL({n},{q})", _gl_factors(n, q, 2))
     spec = MatrixGroupSpec(n, F, tuple(_transvection_gens(n, F)))
@@ -324,6 +333,7 @@ def sl_group(n, q, closure_cap=CLOSURE_CAP):
 
 def unitriangular_group(n, p, closure_cap=CLOSURE_CAP):
     """Upper unitriangular U(n, p); order p^(n(n-1)/2)."""
+    _check_dimension("U", n)
     F = PrimePowerField(p)  # compares p with the field cap before factoring
     if F.e != 1:
         raise UnknownConstructor(f"U({n},{p}) needs a prime")
@@ -338,6 +348,7 @@ def unitriangular_group(n, p, closure_cap=CLOSURE_CAP):
 
 def glz_group(n, ell, k, closure_cap=CLOSURE_CAP):
     """GL(n, Z/ell^k) from transvections plus diagonal unit generators."""
+    _check_dimension("GLZ", n)
     if ell > closure_cap:  # before trial division; |Z/ell^k| >= ell
         raise CapExceeded(f"modulus {ell} exceeds cap {closure_cap}")
     if factorize(ell) != {ell: 1}:
@@ -393,9 +404,9 @@ def residue_kernel(n, ell, k, closure_cap=CLOSURE_CAP):
 
 def is_l_group(G, ell):
     """True iff the order of G, a group or a Subgroup, is a power of ell
-    (1 counts). ValueError for ell < 2, which no order is a power of."""
+    (1 counts). UsageError for ell < 2, which no order is a power of."""
     if ell < 2:
-        raise ValueError(f"ell must be >= 2, got {ell}")
+        raise UsageError(f"ell must be >= 2, got {ell}")
     n = G.order
     while n % ell == 0:
         n //= ell

@@ -73,7 +73,7 @@ from .core import (
     set_field,
     subgroup_closure,
 )
-from .errors import DecompositionFailed
+from .errors import DecompositionFailed, UsageError
 from .normal import (
     _derived_chain,
     _perfect_residuum,
@@ -150,7 +150,10 @@ class SeriesReport(FrozenRecord):
         return tuple(t.order for t in self.terms)
 
     def term(self, i):
-        """The term at step i, or the last term when the series is shorter."""
+        """The term at step i >= 0, or the last term when the series is
+        shorter."""
+        if i < 0:
+            raise UsageError(f"step must be >= 0, got {i}")
         return self.terms[min(i, len(self.terms) - 1)]
 
 
@@ -342,6 +345,8 @@ def generalized_derived_series(G, max_steps=None):
     A solvable G takes no D-step: D(H) = H' for each of its terms, so its
     terms after G are the derived chain that decided its solvability.
     """
+    if max_steps is not None and max_steps < 0:
+        raise UsageError(f"max_steps must be >= 0, got {max_steps}")
     if max_steps is None:
         cached = G._cache.get("gds_series")
         if cached is not None:

@@ -20,8 +20,8 @@ Grammar (EBNF, also documented in the README):
     closure  = "normal-closure-of" , "(" , label , { "," , label } , ")" ;
 
 A label is a raw element label of the base group (commas split only at the
-top parenthesis level). One normalization pass makes unparse(parse(s))
-idempotent.
+top parenthesis level). Parentheses around a spec nest at most MAX_NESTING
+deep. One normalization pass makes unparse(parse(s)) idempotent.
 """
 
 from __future__ import annotations
@@ -115,10 +115,16 @@ class QuotSpec(FrozenRecord):
         set_field(self, "labels", labels)
 
 
+# three parser frames per level of "(" spec ")", well inside the
+# interpreter's default recursion limit of 1000
+MAX_NESTING = 100
+
+
 class _Cursor:
     def __init__(self, text):
         self.text = text
         self.pos = 0
+        self.depth = 0  # "(" spec ")" levels open
 
     def _linecol(self, pos=None):
         pos = self.pos if pos is None else pos
@@ -262,11 +268,17 @@ def _parse_product(cur):
 
 
 def _parse_atom(cur):
+    cur.skip_ws()
+    start = cur.pos
     if cur.try_eat("("):
+        if cur.depth == MAX_NESTING:
+            cur.error(f"parentheses nested deeper than {MAX_NESTING}",
+                      pos=start)
+        cur.depth += 1
         node = _parse_spec(cur)
         cur.eat(")")
+        cur.depth -= 1
         return node
-    start = cur.pos
     name = cur.name()
     pos = cur._linecol(start)
     if name == "perm":
@@ -346,12 +358,15 @@ def _parse_mat(cur, pos):
     cur.eat(";")
     mats = [_parse_matrix(cur, bound)]
     while cur.try_eat(","):
-        mats.append(_parse_matrix(cur, bound))
+        mats.append(_parse_matrix(cur, bound, len(mats[0])))
     cur.eat(")")
     return MatSpec(ring, tuple(mats), pos)
 
 
-def _parse_matrix(cur, bound):
+def _parse_matrix(cur, bound, n=None):
+    """A square matrix; n x n, the size of the first, when n is given."""
+    cur.skip_ws()
+    start = cur.pos
     cur.eat("[")
     rows = [_parse_row(cur, bound)]
     while cur.try_eat(","):
@@ -359,6 +374,8 @@ def _parse_matrix(cur, bound):
     cur.eat("]")
     if any(len(r) != len(rows) for r in rows):
         cur.error("matrix must be square")
+    if n is not None and len(rows) != n:
+        cur.error(f"matrix must be {n}x{n}, as the first is", pos=start)
     return tuple(rows)
 
 

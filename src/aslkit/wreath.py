@@ -40,7 +40,8 @@ from .core import (
     trivial_action,
     trivial_subgroup,
 )
-from .errors import CapExceeded, NotAnAction, NotInvariant, PropositionViolated
+from .errors import NotAnAction, NotInvariant, PropositionViolated, \
+    UsageError
 from .series import generalized_derived_series
 
 
@@ -146,8 +147,6 @@ def twisted_wreath_product(A, G, G0: Subgroup, act: GroupAction = None,
                            closure_cap=CLOSURE_CAP):
     """Build A wr_{G0} G = Ind x| G with its induced normal subgroup."""
     Ind, g_action = induced_group(A, G, G0, act, closure_cap=closure_cap)
-    if Ind.order * G.order > closure_cap:
-        raise CapExceeded("wreath order exceeds cap")
     m = Ind.structure["m"]
     W = semidirect_product(Ind, G, g_action,
                            name=f"{A.name} wr[{G0.order}] {G.name}",
@@ -231,12 +230,16 @@ def wreath_quotient(A, A0: Subgroup, G, G0: Subgroup,
 
 
 def msigma_hypothesis(G, G0: Subgroup, m):
-    """True iff the coset count of G0 in G^(m) G0 exceeds 2^m."""
+    """True iff the coset count of G0 in G^(m) G0 exceeds 2^m, for m >= 0."""
+    if m < 0:
+        raise UsageError(f"m must be >= 0, got {m}")
     series = generalized_derived_series(G, max_steps=m)
     term = series.term(m)
     inter = len(term.member_set & G0.member_set)
     index = term.order // inter
-    return index > 2 ** m
+    # index > 2^m exactly when index - 1 >= 2^m, read by bit length: m may
+    # be too large for 2^m to be made
+    return (index - 1).bit_length() > m
 
 
 def msigma_witness(A, G, G0: Subgroup, act: GroupAction = None, m=0,

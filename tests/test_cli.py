@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import aslkit
-from aslkit.cli import _build_parser, run
+from aslkit.cli import _build_parser, main, run
 from aslkit.specparse import group_from_spec
 from aslkit.verify import _trvrep
 
@@ -164,6 +164,14 @@ OUT_OF_DOMAIN = [
      "argument -m: must be >= 0, got -1"),
     (["kernelcheck", "-n", "-1", "-l", "2", "-k", "2"],
      "argument -n: must be >= 0, got -1"),
+    (["verify", "log-length", "--max-order", "0"],
+     "argument --max-order: must be >= 1, got 0"),
+    (["verify", "log-length", "--max-order", "-5"],
+     "argument --max-order: must be >= 1, got -5"),
+    (["lp", "S4", "-l", "2", "-J", "0"],
+     "argument -J: must be >= 1, got 0"),
+    (["lp", "S4", "-l", "2", "-J", "x"],
+     "argument -J: invalid int value: 'x'"),
 ]
 
 
@@ -177,6 +185,60 @@ def test_out_of_domain_flags_are_usage_errors(argv, message):
     assert code == 2
     assert payload["result"]["error"] == message
     assert time.monotonic() - t0 < 5
+
+
+# complete tables of C3 under <(1 2)> in S3: (1 2) swapping 0 and 1 is an
+# action, not by automorphisms; () moving every point is no action
+ACTION_TABLES = {
+    f"<{name}>": "".join(f"{a} ^ {g} = {b}\n" for a, g, b in rows)
+    for name, rows in (
+        ("not automorphisms", ((0, "()", 0), (1, "()", 1), (2, "()", 2),
+                               (0, "(1 2)", 1), (1, "(1 2)", 0),
+                               (2, "(1 2)", 2))),
+        ("not an action", ((0, "()", 1), (1, "()", 2), (2, "()", 0),
+                           (0, "(1 2)", 0), (1, "(1 2)", 1),
+                           (2, "(1 2)", 2))))}
+
+REFUSED = {
+    "singular generator": (["length", "mat(F5; [[0]])"],
+                           "no unit pivot; matrix is singular"),
+    "mismatched matrices": (["length", "mat(F2; [[1]], [[1,0],[0,1]])"],
+                            "matrix must be 1x1, as the first is "
+                            "(line 1, column 16)"),
+    "not automorphisms": (["wreath", "--a", "C3", "--g", "S3", "--g0",
+                           "(1 2)", "--action", "<not automorphisms>"],
+                          "(ab)^g != a^g b^g"),
+    "not an action": (["wreath", "--a", "C3", "--g", "S3", "--g0", "(1 2)",
+                       "--action", "<not an action>"],
+                      "identity of the actor must act trivially"),
+    "trivial A": (["msigma", "--a", "C1", "--g", "C2", "--g0", "1",
+                   "-m", "0"], "A must be nontrivial"),
+    "400 levels": (["length", "(" * 400 + "C2" + ")" * 400],
+                   "parentheses nested deeper than 100 (line 1, column 101)"),
+    "abbreviated flag": (["--js", "length", "S4"],
+                         "unrecognized arguments: --js"),
+    "abbreviated flag after the command": (
+        ["verify", "log-length", "--max", "3"],
+        "unrecognized arguments: --max 3"),
+    "max-order 0": (["verify", "log-length", "--max-order", "0"],
+                    "argument --max-order: must be >= 1, got 0"),
+    "J 0": (["lp", "S4", "-l", "2", "-J", "0"],
+            "argument -J: must be >= 1, got 0"),
+}
+
+
+@pytest.mark.parametrize("name", REFUSED)
+def test_refused_inputs_are_usage_errors(name, tmp_path, capsys):
+    """Input the user supplied and the toolkit refuses exits 2 with the
+    usage rendering, never as a verification failure."""
+    argv, message = REFUSED[name]
+    for i, arg in enumerate(argv):
+        if arg in ACTION_TABLES:
+            table = tmp_path / "table.txt"
+            table.write_text(ACTION_TABLES[arg])
+            argv = argv[:i] + [str(table)] + argv[i + 1:]
+    assert main(argv) == 2
+    assert capsys.readouterr().out.startswith(f"usage error: {message}\n")
 
 
 def test_prime_flag_is_bounded_before_trial_division():

@@ -283,6 +283,18 @@ def test_fiber_product_sign(s3):
     assert count == 18
 
 
+def test_product_size_refusals_name_the_group(s3, monkeypatch):
+    """The semidirect and fiber products refuse their size through
+    `check_order`, as every other constructor does."""
+    c3, c2 = cyclic_group(3), cyclic_group(2)
+    with pytest.raises(CapExceeded, match=r"^\|C3 x\| C2\| exceeds cap 5$"):
+        semidirect_product(c3, c2, trivial_action(c2, c3), closure_cap=5)
+    monkeypatch.setattr(core, "CLOSURE_CAP", 10)
+    alpha = _sign_hom(s3)
+    with pytest.raises(CapExceeded, match=r"^\|S3 xK S3\| exceeds cap 10$"):
+        fiber_product(alpha, alpha)
+
+
 def test_fiber_product_trivial_k(s3, a4):
     c1 = cyclic_group(1)
     alpha = Homomorphism(s3, c1, [0] * 6)

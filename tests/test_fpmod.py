@@ -240,6 +240,15 @@ def test_orbit_hypothesis(a4):
     assert orbit_hypothesis(a4, coset_space(a4, g0), 1)
 
 
+def test_orbit_hypothesis_makes_no_power_of_two(a4):
+    """Orbit sizes are compared with 2^m by bit length, so m = 10^12
+    answers at once; past the series every orbit is a point."""
+    c3elt = next(i for i in range(12) if a4.element_order(i) == 3)
+    x = coset_space(a4, subgroup_generated(a4, [c3elt]))
+    assert not orbit_hypothesis(a4, x, 10 ** 12)
+    assert not orbit_hypothesis(a4, x, 5)
+
+
 def test_unipotent_derived_length():
     assert unipotent_derived_length(2, 5) == 1
     assert unipotent_derived_length(3, 2) == 2

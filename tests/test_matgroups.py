@@ -7,7 +7,12 @@ import pytest
 from aslkit.cli import run
 
 from aslkit.core import Subgroup, factorize, full_subgroup, is_isomorphic
-from aslkit.errors import NotAFieldElement, NotInvertible, SearchFailed
+from aslkit.errors import (
+    NotAFieldElement,
+    NotInvertible,
+    SearchFailed,
+    UnknownConstructor,
+)
 from aslkit.families import alternating_group, symmetric_group, cyclic_group
 from aslkit.matgroups import (
     LPFiltration,
@@ -113,6 +118,16 @@ def test_is_l_group_refuses_ell_below_2(s4, ell):
     """n % 1 == 0 for every n, so ell = 1 used to divide forever."""
     with pytest.raises(ValueError, match="ell must be >= 2"):
         is_l_group(s4, ell)
+
+
+@pytest.mark.parametrize("build, args", [
+    (gl_group, (-1, 3)), (sl_group, (-1, 3)), (unitriangular_group, (-1, 2)),
+    (glz_group, (-1, 2, 2))])
+def test_negative_dimensions_are_refused(build, args):
+    """GL and GLZ used to raise IndexError, U to fail its own assert, and
+    SL to return a group of order 1."""
+    with pytest.raises(UnknownConstructor, match="dimension n >= 0, got -1"):
+        build(*args)
 
 
 def test_glz_orders():

@@ -18,7 +18,7 @@ from aslkit.core import (
     subgroup_generated,
     trivial_subgroup,
 )
-from aslkit.errors import DecompositionFailed
+from aslkit.errors import DecompositionFailed, UsageError
 from aslkit.families import (
     alternating_group,
     cyclic_group,
@@ -118,6 +118,16 @@ def test_term_clamps_to_the_last_term():
     assert not cut.terminates and cut.orders() == (24, 12)
     assert [cut.term(i) for i in range(4)] == [cut.terms[0]] + \
         [cut.terms[1]] * 3
+
+
+def test_negative_steps_are_refused():
+    """max_steps=-1 used to slice the chain from its end, and term(-1) to
+    return the last term."""
+    for G in (symmetric_group(3), alternating_group(5)):
+        with pytest.raises(UsageError, match="max_steps must be >= 0"):
+            generalized_derived_series(G, max_steps=-1)
+        with pytest.raises(UsageError, match="step must be >= 0, got -1"):
+            generalized_derived_series(G).term(-1)
 
 
 def test_solvable_series_is_the_d_step_walk(record_calls):

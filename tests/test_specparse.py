@@ -15,6 +15,7 @@ from aslkit.errors import (
     UnknownConstructor,
 )
 from aslkit.specparse import (
+    MAX_NESTING,
     Named,
     PermSpec,
     ProdSpec,
@@ -80,6 +81,32 @@ def test_parse_errors_carry_position():
         parse_group_spec("GL(2)")
     with pytest.raises(MalformedCycle):
         evaluate(parse_group_spec("perm(3; (1 2 2))"))
+
+
+def test_nesting_is_bounded_at_the_first_parenthesis_past_it():
+    """Each level of parentheses costs three parser frames, so 400 levels
+    used to overflow the interpreter stack; the (MAX_NESTING + 1)-th "("
+    is refused at its column instead."""
+    c2 = parse_group_spec("C2")
+    assert parse_group_spec("(" * 50 + "C2" + ")" * 50) == c2
+    deepest = " (" * MAX_NESTING + "C2" + ")" * MAX_NESTING
+    assert parse_group_spec(deepest) == c2
+    for levels in (MAX_NESTING + 1, 400):
+        with pytest.raises(GroupSpecError) as err:
+            parse_group_spec(" (" * levels + "C2" + ")" * levels)
+        assert (err.value.line, err.value.column) == (1, 2 * MAX_NESTING + 2)
+
+
+@pytest.mark.parametrize("text, line, column", [
+    ("mat(F2; [[1]], [[1,0],[0,1]])", 1, 16),
+    ("mat(Z9; [[1, 0], [0, 1]],\n  [[1, 3], [0, 1]], [[2]])", 2, 21),
+])
+def test_matrices_of_another_size_are_refused_at_their_position(
+        text, line, column):
+    with pytest.raises(GroupSpecError) as err:
+        parse_group_spec(text)
+    assert (err.value.line, err.value.column) == (line, column)
+    assert "as the first is" in err.value.message
 
 
 @pytest.mark.parametrize("text, entry, line, column", [

@@ -15,7 +15,13 @@ from aslkit.core import (
     trivial_action,
     trivial_subgroup,
 )
-from aslkit.errors import CapExceeded, NotAnAction, NotInvariant, NotNormal
+from aslkit.errors import (
+    CapExceeded,
+    NotAnAction,
+    NotInvariant,
+    NotNormal,
+    UsageError,
+)
 from aslkit.families import (
     alternating_group,
     cyclic_group,
@@ -94,6 +100,12 @@ def test_wreath_cap():
     c3 = cyclic_group(3)
     with pytest.raises(CapExceeded):
         twisted_wreath_product(a5, c3, trivial_subgroup(c3))
+    # |Ind| = 3600 passes, |Ind x| C2| = 7200 does not
+    c2 = cyclic_group(2)
+    with pytest.raises(CapExceeded,
+                       match=r"^\|A5 wr\[1\] C2\| exceeds cap 7000$"):
+        twisted_wreath_product(a5, c2, trivial_subgroup(c2),
+                               closure_cap=7000)
 
 
 def test_realization_chain_examples(s3):
@@ -199,6 +211,27 @@ def test_msigma_witness_past_the_end_of_the_series():
         assert not msigma_hypothesis(c2, trivial_subgroup(c2), m)
         assert msigma_witness(cyclic_group(2), c2, trivial_subgroup(c2),
                               m=m) is None, m
+
+
+def test_msigma_refuses_a_negative_m(s3):
+    """m = -1 used to read the last term of the series as G^(-1)."""
+    with pytest.raises(UsageError, match="m must be >= 0, got -1"):
+        msigma_hypothesis(s3, trivial_subgroup(s3), -1)
+    with pytest.raises(UsageError, match="m must be >= 0, got -1"):
+        msigma_witness(cyclic_group(2), s3, trivial_subgroup(s3), m=-1)
+
+
+def test_msigma_hypothesis_makes_no_power_of_two(a4):
+    """The index is compared with 2^m by bit length, so m = 10^12 answers
+    at once, as any m past the series does; G^(m) = 1 there, so the
+    hypothesis holds exactly when the index of G0 in G^(m) G0 is 1 > 2^m,
+    never."""
+    c3elt = next(i for i in range(12) if a4.element_order(i) == 3)
+    for g0 in (trivial_subgroup(a4), subgroup_generated(a4, [c3elt])):
+        small = msigma_hypothesis(a4, g0, 5)
+        assert msigma_hypothesis(a4, g0, 10 ** 12) is small is False
+    # at m = 1 the index 4 of G0 = C3 in V4 C3 exceeds 2
+    assert msigma_hypothesis(a4, subgroup_generated(a4, [c3elt]), 1)
 
 
 def test_elementary_abelian_wreath_intersection(s3):
